@@ -397,7 +397,15 @@ BuilderFn = Callable[[CapacitatedGraph, Optional[int]], CutMatrix]
 
 
 def resolve_builder(descriptor: str) -> BuilderFn:
-    """Map a descriptor like ``multitree:8`` to a builder callable."""
+    """Map a descriptor like ``multitree:8`` to a builder callable.
+
+    The descriptor is checked here, before any matrix is built, because a
+    run may finish without calling the builder at all.
+
+    Raises:
+        ValueError: unknown descriptor, or a ``multitree`` count that is not
+            an integer of at least 1.
+    """
     if descriptor == "exhaustive":
         return lambda g, seed: build_exhaustive(g)
     if descriptor == "tree":
@@ -407,5 +415,7 @@ def resolve_builder(descriptor: str) -> BuilderFn:
             k = int(descriptor.split(":", 1)[1])
         except ValueError as exc:
             raise ValueError(f"bad multitree count in {descriptor!r}") from exc
+        if k < 1:
+            raise ValueError(f"member count must be at least 1, got {k}")
         return lambda g, seed: build_multi_tree(g, k, seed if seed is not None else 0)
     raise ValueError(f"unknown approximator descriptor {descriptor!r}")

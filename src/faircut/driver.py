@@ -13,6 +13,7 @@ is then measured exactly by the oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -156,10 +157,13 @@ def iterate_once(
 ) -> tuple[IterationState, IterationRecord]:
     """One driver round: call the primitive, grow the flow or move the cut.
 
-    The cut matrix is rebuilt by ``builder`` on the masked graph restricted
-    to the component containing both endpoints; removed or stranded parts
-    cannot carry flow and never appear in the subproblem.  On budget
-    exhaustion the primitive is retried once with four times the budget.
+    The primitive runs on the masked graph restricted to the component
+    containing both endpoints; removed or stranded parts cannot carry flow
+    and never appear in the subproblem.  The cut matrix for that subgraph is
+    built by ``builder`` only if the primitive asks for it (the warm-start
+    max-flow did not reach the threshold), at most once per round.  On
+    budget exhaustion the primitive is retried once with four times the
+    budget, on the same matrix.
     """
     graph = state.graph
     s, t = state.cut.source, state.cut.sink
@@ -182,7 +186,7 @@ def iterate_once(
         sub_vals = np.concatenate([state.flow.values[ekeep], state.flow.values[ekeep + graph.m]])
         sub_flow = FlowAssignment(sub, sub_vals)
         sub_res = ResidualView(sub, sub_flow)
-        cuts = builder(sub, seed)
+        cuts = functools.cache(lambda: builder(sub, seed))
         try:
             result = flow_or_cut(sub, sub_res, int(remap[s]), int(remap[t]), tau, eps, cuts, budget)
         except SolverExhausted:
@@ -252,7 +256,7 @@ def fair_cut(
     Args:
         graph: connected undirected instance.
         s, t: distinct terminals.
-        eps: saturation margin, in ``(0, 1/16)``.
+        eps: saturation margin, in ``(0, 1/8)``.
         approximator: builder descriptor (``exhaustive``, ``tree``,
             ``multitree:K``) or a callable ``(graph, seed) -> CutMatrix``.
         seed: base seed; each round derives its own stream from it.

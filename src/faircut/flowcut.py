@@ -17,11 +17,12 @@ O(m + n log n).
 
 The saddle solver is a multiplicative-weights loop over the stacked rows,
 warm-started from an exact augmenting-path flow computed directly on the
-residual graph.  The warm start is what makes the primitive fast at this
-scale: on clearly routable instances the starting point already satisfies
-the primal test, and on clearly unroutable ones the weight pullback or a
-single matrix row certifies a cut within a few rounds.  The loop remains
-the authority for every certificate it emits.
+residual graph.  When that max-flow already reaches ``tau``, the scaled
+warm flow routes the whole demand, so the call returns it without building
+the cut matrix or entering the loop.  Otherwise the matrix is built and the
+loop runs from the warm start; on unroutable instances the weight pullback
+or a single matrix row certifies a cut within a few rounds, and the loop
+remains the authority for every cut certificate it emits.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -424,7 +425,12 @@ def threshold_cut(
 
 @dataclass
 class FlowResult:
-    """Feasible residual flow; the unrouted demand remainder is small."""
+    """Feasible residual flow; the unrouted demand remainder is small.
+
+    ``primal_gap`` is the saddle loop's scaled-row violation at the returned
+    point; it is 0.0 when the warm-start max-flow decided the call, because
+    that flow routes the whole demand.
+    """
 
     flow: FlowAssignment
     primal_gap: float
@@ -548,7 +554,7 @@ def flow_or_cut(
     t: int,
     tau: float,
     eps: float,
-    cuts: CutMatrix,
+    cuts: Union[CutMatrix, Callable[[], CutMatrix]],
     budget: int = 1000,
     alpha: Optional[float] = None,
     trace: Optional[list] = None,
@@ -559,6 +565,13 @@ def flow_or_cut(
     the leftover demand ``tau*(1_s - 1_t) - divergence(flow)`` can be routed
     in the base graph with congestion at most ``eps``.  Cut outcome: the
     returned (s,t)-cut has residual boundary value strictly below ``tau``.
+
+    The exact warm-start max-flow is computed first.  When it reaches
+    ``tau`` (and ``budget >= 1``) the flow outcome is returned at once with
+    ``iterations=0``, ``primal_gap=0.0`` and no cut matrix.  Otherwise the
+    cut matrix is needed: ``cuts`` may be the matrix itself or a
+    zero-argument callable that builds it, called at most once and only on
+    this path.
 
     Raises:
         ValueError: ``tau <= 0``, ``eps`` outside ``(0, 1/2)``, or s == t.
@@ -588,12 +601,21 @@ def flow_or_cut(
     caps = residual.arc_caps
     with np.errstate(divide="ignore", invalid="ignore"):
         base_x = np.where(caps > 0, warm / np.maximum(caps, 1e-300), 0.0)
-    if maxflow >= tau * (1.0 - 1e-12):
+    routes_tau = maxflow >= tau * (1.0 - 1e-12)
+    if routes_tau:
         x0 = np.clip(base_x * (tau / maxflow), 0.0, 1.0)
     else:
         x0 = np.clip(base_x, 0.0, 1.0)
 
     demand = st_demand(graph.n, s, t, tau)
+    if routes_tau and budget >= 1:
+        # A zero budget keeps its meaning: the warm start is only examined
+        # inside the first saddle round, so it exhausts below.
+        flow = FlowAssignment(graph, x0 * caps)
+        return FlowResult(flow=flow, primal_gap=0.0, iterations=0, residual_demand=demand - divergence(flow))
+
+    if not isinstance(cuts, CutMatrix):
+        cuts = cuts()
     problem = reduce_problem(graph, residual, demand, cuts, alpha=alpha)
     slack = (eps / EPSILON_SHRINK) / problem.alpha
     outcome = saddle_solve(problem, slack, budget, x0=x0, trace=trace)

@@ -45,6 +45,12 @@ class TestSolve:
         assert code == 1
         assert "epsilon" in err
 
+    def test_zero_member_multitree_exits_one(self, instance_file, capsys):
+        path = instance_file(SINGLE_EDGE)
+        code, out, err = run(capsys, ["solve", "--input", path, "--approximator", "multitree:0"])
+        assert code == 1 and out == ""
+        assert "member count" in err
+
     def test_parse_error_exits_one(self, instance_file, capsys):
         path = instance_file("p max 2 1\nn 1 s\na 1 2 0\n")
         code, _, err = run(capsys, ["solve", "--input", path])

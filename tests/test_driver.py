@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from faircut import driver
 from faircut.approximator import build_exhaustive
 from faircut.driver import (
     CONTRACTION,
@@ -12,6 +13,7 @@ from faircut.driver import (
     unsaturated_arcs,
 )
 from faircut.driver import _make_state
+from faircut.flowcut import flow_or_cut
 from faircut.graph import (
     CapacitatedGraph,
     FlowAssignment,
@@ -84,7 +86,7 @@ class TestIterateOnce:
         assert new_state.cut.side == frozenset({0, 1})
         assert new_state.potential_value == pytest.approx(0.0)
 
-    def test_stranded_component_is_excluded_from_the_solve(self):
+    def test_stranded_component_is_excluded_from_the_solve(self, monkeypatch):
         # the pendant x hangs off a saturated edge; the subproblem must not
         # touch it and the flow branch must leave its arcs at zero
         g = CapacitatedGraph(3, [(0, 1, 4), (0, 2, 1)])  # 0=s, 1=t, 2=x
@@ -93,11 +95,17 @@ class TestIterateOnce:
         seen = {}
 
         def builder(sub, seed):
-            seen["n"] = sub.n
+            seen["builder"] = True
             return build_exhaustive(sub)
 
+        def recording_flow_or_cut(graph, *args, **kwargs):
+            seen["n"] = graph.n
+            return flow_or_cut(graph, *args, **kwargs)
+
+        monkeypatch.setattr(driver, "flow_or_cut", recording_flow_or_cut)
         new_state, record = iterate_once(state, 0.05, builder)
         assert seen["n"] == 2  # x never entered the subproblem
+        assert "builder" not in seen  # a flow round needs no cut matrix
         assert record.branch == "flow"
         pendant_arc = g.arc_index(0, 2)
         assert new_state.flow.values[pendant_arc] == flow.values[pendant_arc]
@@ -170,6 +178,21 @@ class TestFairCut:
             fair_cut(g, 0, 2, eps=0.0)
         with pytest.raises(ValueError, match="eps"):
             fair_cut(g, 0, 2, eps=0.2)
+        with pytest.raises(ValueError, match="eps"):
+            fair_cut(g, 0, 2, eps=0.125)
+
+    def test_eps_just_below_one_eighth_solves(self):
+        result = fair_cut(path_2_1(), 0, 2, eps=0.1249, approximator="exhaustive")
+        assert result.cut.side == frozenset({0, 1})
+        assert result.final_potential < 4 * 0.1249
+
+    def test_zero_member_multitree_rejected_before_any_round(self):
+        # every round on the single edge is a flow round, so the builder is
+        # never called; the descriptor must still be refused
+        g = CapacitatedGraph(2, [(0, 1, 5)])
+        assert [r.branch for r in fair_cut(g, 0, 1, 0.05, approximator="multitree:1").iterations] == ["flow"] * 3
+        with pytest.raises(ValueError, match="member count"):
+            fair_cut(g, 0, 1, 0.05, approximator="multitree:0")
 
     def test_terminal_validation(self):
         g = path_2_1()

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from faircut import driver
 from faircut.approximator import build_exhaustive, build_multi_tree, operator_row_norms
+from faircut.driver import _make_state, iterate_once
 from faircut.flowcut import (
     CutResult,
     DualWitness,
     ExhaustedOutcome,
     FlowResult,
     PrimalCertificate,
+    SolverExhausted,
     ThresholdCutError,
     dual_to_potential,
     flow_or_cut,
@@ -20,6 +23,7 @@ from faircut.graph import (
     CapacitatedGraph,
     FlowAssignment,
     ResidualView,
+    VertexCut,
     directed_cut_value,
     st_demand,
 )
@@ -297,6 +301,82 @@ class TestFlowOrCut:
         # warm start satisfies the slack immediately; dual traces carry margins
         for row in trace:
             assert len(row) == 3 and row[0] >= 1
+
+
+def refusing_builder():
+    raise AssertionError("cut matrix built on a round the warm start decides")
+
+
+class TestLazyCutMatrix:
+    def test_warm_start_flow_never_builds(self, rng):
+        g = single_edge(5)
+        out = flow_or_cut(g, empty_residual(g), 0, 1, tau=5.0, eps=0.1, cuts=refusing_builder)
+        assert isinstance(out, FlowResult)
+        assert out.iterations == 0 and out.primal_gap == 0.0
+        assert np.allclose(out.residual_demand, 0.0)
+        for _ in range(10):
+            n = int(rng.integers(4, 30))
+            g = random_connected_graph(n, 2 * n, rng, max_cap=20)
+            res = ResidualView(g, random_feasible_flow(g, rng))
+            mf, _, _ = max_flow_exact(res, 0, n - 1)
+            if mf <= 0:
+                continue
+            tau = float(mf) * float(rng.uniform(0.3, 1.0))
+            out = flow_or_cut(g, res, 0, n - 1, tau, eps=0.1, cuts=refusing_builder)
+            assert isinstance(out, FlowResult) and out.iterations == 0
+            assert np.abs(out.residual_demand).max() <= 1e-9 * tau
+
+    def test_cut_round_builds_once(self):
+        g = CapacitatedGraph(3, [(0, 1, 4), (1, 2, 1)])
+        state = _make_state(g, VertexCut(frozenset({0}), 0, 2), FlowAssignment(g), 0.05, 1)
+        built = []
+
+        def builder(sub, seed):
+            built.append(seed)
+            return build_exhaustive(sub)
+
+        _, record = iterate_once(state, 0.05, builder, seed=3)
+        assert record.branch == "cut"
+        assert built == [3]
+
+    def test_retry_after_exhaustion_reuses_the_matrix(self, monkeypatch):
+        # the first primitive call builds the matrix and then reports an
+        # exhausted budget; the 4x retry must run on the same matrix
+        g = CapacitatedGraph(3, [(0, 1, 4), (1, 2, 1)])
+        state = _make_state(g, VertexCut(frozenset({0}), 0, 2), FlowAssignment(g), 0.05, 1)
+        built, budgets = [], []
+
+        def builder(sub, seed):
+            built.append(seed)
+            return build_exhaustive(sub)
+
+        def exhaust_first(*args):
+            budgets.append(args[-1])
+            result = flow_or_cut(*args)
+            if len(budgets) == 1:
+                raise SolverExhausted("forced", iterations=args[-1], best_gap=1.0)
+            return result
+
+        monkeypatch.setattr(driver, "flow_or_cut", exhaust_first)
+        _, record = iterate_once(state, 0.05, builder, budget=7, seed=3)
+        assert record.branch == "cut"
+        assert budgets == [7, 28]
+        assert built == [3]
+
+    def test_zero_budget_flow_round_exhausts_after_one_build(self):
+        g = single_edge(5)
+        with pytest.raises(SolverExhausted):
+            flow_or_cut(g, empty_residual(g), 0, 1, tau=3.0, eps=0.1, cuts=build_exhaustive(g), budget=0)
+        state = _make_state(g, VertexCut(frozenset({0}), 0, 1), FlowAssignment(g), 0.05, 1)
+        built = []
+
+        def builder(sub, seed):
+            built.append(seed)
+            return build_exhaustive(sub)
+
+        with pytest.raises(SolverExhausted):
+            iterate_once(state, 0.05, builder, budget=0, seed=3)
+        assert built == [3]
 
 
 class TestRowScan:
