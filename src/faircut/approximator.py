@@ -62,6 +62,7 @@ class CutMatrix:
     kind: str = "custom"
     alpha_bound: float = float("inf")
     _indicator: Optional[sp.csr_matrix] = field(default=None, repr=False, compare=False)
+    _indicator_t: Optional[sp.csc_matrix] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -102,7 +103,11 @@ class CutMatrix:
     def pullback(self, y: np.ndarray) -> np.ndarray:
         """Transpose action: vertex vector ``sum_r y_r * w_r * 1[v in S_r]``."""
         y = np.asarray(y, dtype=np.float64)
-        return self.indicator.T @ (self.weights * y)
+        if self._indicator_t is None:
+            # Transposing builds and validates a new sparse object; the saddle
+            # loop pulls back several times per iteration, so keep one.
+            self._indicator_t = self.indicator.T
+        return self._indicator_t @ (self.weights * y)
 
     def to_json(self) -> str:
         doc = {

@@ -62,6 +62,14 @@ class _Dinic:
         self.cap.append(cap * 0)  # zero of the same numeric type
         return a
 
+    def copy(self) -> "_Dinic":
+        """An independent solver with the same arcs and capacities."""
+        other = _Dinic(self.n)
+        other.adj = [list(arcs) for arcs in self.adj]
+        other.to = list(self.to)
+        other.cap = list(self.cap)
+        return other
+
     def _bfs(self, s: int, t: int, zero) -> bool:
         self.level = [-1] * self.n
         self.level[s] = 0
@@ -325,6 +333,95 @@ class FairnessRefusal:
     deficit: float
 
 
+class _FairnessNetwork:
+    """The lower-bound circulation network of one cut, for any alpha.
+
+    Arc ids, adjacency lists and the capacities of non-cut edges and of the
+    return arc do not depend on alpha, so they are laid out once.  Each
+    :meth:`check` copies that layout, sets the cut arcs to ``c - c/alpha``
+    and adds the auxiliary source and sink arcs of its alpha.  The arcs get
+    the same ids and order as in a network built for that alpha alone, so a
+    check's answer does not depend on the network being shared.
+    """
+
+    def __init__(self, g: CapacitatedGraph, cut: VertexCut) -> None:
+        s, t = cut.source, cut.sink
+        if s is None or t is None:
+            raise ValueError("cut must carry source and sink designations")
+        if not (0 < len(cut.side) < g.n):
+            raise ValueError("improper cut")
+        self.g = g
+        mask = cut.member_mask(g.n)
+        crossing = mask[g.us] != mask[g.vs]
+        self.total_cap = float(g.caps.sum())
+
+        base = _Dinic(g.n + 2)
+        # (edge, arc_id, direction, capacity); cut arcs carry a placeholder
+        # capacity here and get ``c - c/alpha`` in each check.
+        self.edge_arcs: list[tuple[int, int, int, float]] = []
+        self.cut_arcs: list[tuple[int, int, int, float]] = []  # (arc_id, tail, head, capacity)
+        for e in range(g.m):
+            u, v, c = int(g.us[e]), int(g.vs[e]), float(g.caps[e])
+            if crossing[e]:
+                # Orient the single working arc out of the cut side with bounds
+                # [c/alpha, c]; the reverse direction is dropped so the lower
+                # bound constrains the net flow.
+                if not mask[u]:
+                    u, v = v, u
+                arc = base.add_arc(u, v, c)
+                self.cut_arcs.append((arc, u, v, c))
+                self.edge_arcs.append((e, arc, 0 if u == int(g.us[e]) else 1, c))
+            else:
+                self.edge_arcs.append((e, base.add_arc(u, v, c), 0, c))
+                self.edge_arcs.append((e, base.add_arc(v, u, c), 1, c))
+        self.return_arc = base.add_arc(t, s, self.total_cap + 1.0)
+        self.base = base
+
+    def check(self, alpha: float) -> Union[FairnessCertificate, FairnessRefusal]:
+        """Decide alpha-fairness of the cut; see :func:`verify_fairness`."""
+        g = self.g
+        solver = self.base.copy()
+        aux_src, aux_snk = g.n, g.n + 1
+
+        excess = np.zeros(g.n, dtype=np.float64)
+        lowers: dict[int, float] = {}
+        for arc, u, v, c in self.cut_arcs:
+            lower = c / alpha
+            solver.cap[arc] = c - lower
+            lowers[arc] = lower
+            excess[v] += lower
+            excess[u] -= lower
+
+        need = 0.0
+        for v in range(g.n):
+            if excess[v] > 0:
+                solver.add_arc(aux_src, v, float(excess[v]))
+                need += float(excess[v])
+            elif excess[v] < 0:
+                solver.add_arc(v, aux_snk, float(-excess[v]))
+
+        value = solver.solve(aux_src, aux_snk, zero=0.0)
+        feas_tol = 1e-11 * max(1.0, need)
+        if value < need - feas_tol:
+            reach = solver.reachable(aux_src, zero=1e-12 * max(1.0, self.total_cap))
+            blocking = frozenset(v for v in reach if v < g.n)
+            return FairnessRefusal(alpha=alpha, blocking_set=blocking, deficit=need - value)
+
+        flow_vals = np.zeros(g.num_arcs, dtype=np.float64)
+        for e, arc, direction, c in self.edge_arcs:
+            lower = lowers.get(arc, 0.0)
+            upper = (c - lower) if lower else c
+            pushed = upper - solver.cap[arc]
+            flow_vals[e + direction * g.m] += max(0.0, pushed) + lower
+        # Normalize non-cut edges so the witness is cancellation-free everywhere.
+        m = g.m
+        fwd, bwd = flow_vals[:m], flow_vals[m:]
+        low = np.minimum(fwd, bwd)
+        flow = FlowAssignment(g, np.concatenate([fwd - low, bwd - low]))
+        tau = (self.total_cap + 1.0) - solver.cap[self.return_arc]
+        return FairnessCertificate(alpha=alpha, witness_flow=flow, value=float(tau))
+
+
 def verify_fairness(
     g: CapacitatedGraph, cut: VertexCut, alpha: float
 ) -> Union[FairnessCertificate, FairnessRefusal]:
@@ -338,69 +435,7 @@ def verify_fairness(
     """
     if alpha < 1:
         raise ValueError(f"fairness factor must be at least 1, got {alpha}")
-    s, t = cut.source, cut.sink
-    if s is None or t is None:
-        raise ValueError("cut must carry source and sink designations")
-    if not (0 < len(cut.side) < g.n):
-        raise ValueError("improper cut")
-
-    mask = cut.member_mask(g.n)
-    crossing = mask[g.us] != mask[g.vs]
-    total_cap = float(g.caps.sum())
-    excess = np.zeros(g.n, dtype=np.float64)
-
-    solver = _Dinic(g.n + 2)
-    aux_src, aux_snk = g.n, g.n + 1
-    edge_arcs: list[tuple[int, int, int, float]] = []  # (edge, arc_id, direction, lower)
-    for e in range(g.m):
-        u, v, c = int(g.us[e]), int(g.vs[e]), float(g.caps[e])
-        if crossing[e]:
-            # Orient the single working arc out of the cut side with bounds
-            # [c/alpha, c]; the reverse direction is dropped so the lower
-            # bound constrains the net flow.
-            if not mask[u]:
-                u, v = v, u
-            lower = c / alpha
-            arc = solver.add_arc(u, v, c - lower)
-            excess[v] += lower
-            excess[u] -= lower
-            edge_arcs.append((e, arc, 0 if u == int(g.us[e]) else 1, lower))
-        else:
-            a0 = solver.add_arc(u, v, c)
-            a1 = solver.add_arc(v, u, c)
-            edge_arcs.append((e, a0, 0, 0.0))
-            edge_arcs.append((e, a1, 1, 0.0))
-    return_arc = solver.add_arc(t, s, total_cap + 1.0)
-
-    need = 0.0
-    for v in range(g.n):
-        if excess[v] > 0:
-            solver.add_arc(aux_src, v, float(excess[v]))
-            need += float(excess[v])
-        elif excess[v] < 0:
-            solver.add_arc(v, aux_snk, float(-excess[v]))
-
-    value = solver.solve(aux_src, aux_snk, zero=0.0)
-    feas_tol = 1e-11 * max(1.0, need)
-    if value < need - feas_tol:
-        reach = solver.reachable(aux_src, zero=1e-12 * max(1.0, total_cap))
-        blocking = frozenset(v for v in reach if v < g.n)
-        return FairnessRefusal(alpha=alpha, blocking_set=blocking, deficit=need - value)
-
-    caps_at_entry: dict[int, float] = {}
-    flow_vals = np.zeros(g.num_arcs, dtype=np.float64)
-    for e, arc, direction, lower in edge_arcs:
-        u, v, c = int(g.us[e]), int(g.vs[e]), float(g.caps[e])
-        upper = (c - lower) if lower else c
-        pushed = upper - solver.cap[arc]
-        flow_vals[e + direction * g.m] += max(0.0, pushed) + lower
-    # Normalize non-cut edges so the witness is cancellation-free everywhere.
-    m = g.m
-    fwd, bwd = flow_vals[:m], flow_vals[m:]
-    low = np.minimum(fwd, bwd)
-    flow = FlowAssignment(g, np.concatenate([fwd - low, bwd - low]))
-    tau = (total_cap + 1.0) - solver.cap[return_arc]
-    return FairnessCertificate(alpha=alpha, witness_flow=flow, value=float(tau))
+    return _FairnessNetwork(g, cut).check(alpha)
 
 
 def min_fair_alpha(g: CapacitatedGraph, cut: VertexCut) -> float:
@@ -408,22 +443,28 @@ def min_fair_alpha(g: CapacitatedGraph, cut: VertexCut) -> float:
 
     Feasibility is monotone in alpha, so binary search over
     ``[1, c(dS) * |dS|]`` is exact up to the interval width; the bracket is
-    widened defensively if its upper end somehow refuses.
+    widened defensively if its upper end somehow refuses.  Every step checks
+    the same network (:class:`_FairnessNetwork`), laid out once.
     """
-    if isinstance(verify_fairness(g, cut, 1.0), FairnessCertificate):
+    network = _FairnessNetwork(g, cut)
+
+    def accepts(alpha: float) -> bool:
+        return isinstance(network.check(alpha), FairnessCertificate)
+
+    if accepts(1.0):
         return 1.0
     boundary = undirected_cut_value(g, cut)
     mask = cut.member_mask(g.n)
     arcs = int(np.count_nonzero(mask[g.us] != mask[g.vs]))
     hi = max(2.0, boundary * max(arcs, 1))
-    while not isinstance(verify_fairness(g, cut, hi), FairnessCertificate):
+    while not accepts(hi):
         hi *= 4.0
         if hi > 1e15:
             raise RuntimeError("no finite fairness factor found; cut appears unreachable")
     lo = 1.0
     while hi - lo > ALPHA_INTERVAL_REL * lo:
         mid = 0.5 * (lo + hi)
-        if isinstance(verify_fairness(g, cut, mid), FairnessCertificate):
+        if accepts(mid):
             hi = mid
         else:
             lo = mid

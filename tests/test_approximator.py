@@ -52,6 +52,19 @@ class TestApply:
                 assert cuts.estimate(d) == pytest.approx(opt, rel=1e-8, abs=1e-12)
 
 
+    def test_pullback_is_the_transposed_action(self, rng):
+        g = small_graph(rng, n_lo=5, n_hi=9)
+        cuts = build_multi_tree(g, 3, seed=1)
+        d = rng.normal(size=g.n)
+        y = rng.normal(size=cuts.row_count)
+        first = cuts.pullback(y)
+        # The transposed indicator is kept after the first call; later calls
+        # give bit-identical results and stay the adjoint of apply.
+        assert np.array_equal(cuts.pullback(y), first)
+        assert np.array_equal(first, cuts.indicator.T @ (cuts.weights * y))
+        assert float(y @ cuts.apply(d)) == pytest.approx(float(first @ d), rel=1e-12, abs=1e-12)
+
+
 class TestBuildExhaustive:
     def test_row_counts(self):
         assert build_exhaustive(CapacitatedGraph(2, [(0, 1, 1)])).row_count == 1

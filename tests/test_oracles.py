@@ -12,8 +12,10 @@ from faircut.graph import (
 )
 from faircut.generators import random_feasible_flow
 from faircut.oracles import (
+    ALPHA_INTERVAL_REL,
     FairnessCertificate,
     FairnessRefusal,
+    _FairnessNetwork,
     max_flow_exact,
     min_congestion_routing,
     min_fair_alpha,
@@ -25,6 +27,36 @@ from conftest import brute_min_cut_value, brute_opt_congestion, small_graph
 
 def path_2_1():
     return CapacitatedGraph(3, [(0, 1, 2), (1, 2, 1)])
+
+
+def bisect_every_step(g, cut):
+    """min_fair_alpha's bisection with every step decided by verify_fairness."""
+    if isinstance(verify_fairness(g, cut, 1.0), FairnessCertificate):
+        return 1.0
+    mask = cut.member_mask(g.n)
+    arcs = int(np.count_nonzero(mask[g.us] != mask[g.vs]))
+    hi = max(2.0, undirected_cut_value(g, cut) * max(arcs, 1))
+    while not isinstance(verify_fairness(g, cut, hi), FairnessCertificate):
+        hi *= 4.0
+        if hi > 1e15:
+            raise RuntimeError("unreachable")
+    lo = 1.0
+    while hi - lo > ALPHA_INTERVAL_REL * lo:
+        mid = 0.5 * (lo + hi)
+        if isinstance(verify_fairness(g, cut, mid), FairnessCertificate):
+            hi = mid
+        else:
+            lo = mid
+    return float(hi)
+
+
+def near_min_cut(g, s, t, rng):
+    """The exact minimum cut with a random non-terminal vertex moved across."""
+    _, _, mincut = max_flow_exact(g, s, t)
+    movable = [v for v in range(g.n) if v not in (s, t)]
+    if not movable:
+        return mincut
+    return VertexCut(mincut.side ^ {int(rng.choice(movable))}, s, t)
 
 
 class TestMaxFlow:
@@ -183,7 +215,57 @@ class TestVerifyFairness:
             assert undirected_cut_value(g, cut) <= alpha * maxflow_value(g, s, t) * (1 + 1e-6)
 
 
+class TestFairnessNetwork:
+    def test_shared_network_matches_fresh_checks(self, rng):
+        # One network checked at many alphas answers exactly as a network
+        # built for each alpha alone: same verdict, same witness, same deficit.
+        for _ in range(8):
+            g = small_graph(rng, n_lo=4, n_hi=9, max_cap=20)
+            s, t = 0, g.n - 1
+            cut = near_min_cut(g, s, t, rng)
+            network = _FairnessNetwork(g, cut)
+            for alpha in rng.uniform(1.0, 4.0, size=5):
+                shared, fresh = network.check(float(alpha)), verify_fairness(g, cut, float(alpha))
+                assert type(shared) is type(fresh)
+                if isinstance(fresh, FairnessCertificate):
+                    assert np.array_equal(shared.witness_flow.values, fresh.witness_flow.values)
+                    assert shared.value == fresh.value
+                else:
+                    assert shared.blocking_set == fresh.blocking_set
+                    assert shared.deficit == fresh.deficit
+
+
 class TestMinFairAlpha:
+    def test_matches_checking_every_step(self, rng):
+        # Checking one shared network gives the result of a fresh
+        # verify_fairness per step, bit for bit, including cuts that are not
+        # fair at any finite factor.
+        for trial in range(30):
+            g = small_graph(rng, n_lo=4, n_hi=10, max_cap=int(rng.choice([1, 9, 100])))
+            s, t = 0, g.n - 1
+            if trial % 2:
+                cut = near_min_cut(g, s, t, rng)
+            else:
+                side = {s} | {int(v) for v in rng.choice(g.n, size=g.n // 2)} - {t}
+                cut = VertexCut(frozenset(side), s, t)
+            try:
+                expected = bisect_every_step(g, cut)
+            except RuntimeError:
+                with pytest.raises(RuntimeError):
+                    min_fair_alpha(g, cut)
+                continue
+            assert min_fair_alpha(g, cut) == expected
+
+    def test_network_is_laid_out_once(self, monkeypatch):
+        g = CapacitatedGraph(4, [(0, 1, 2), (1, 2, 1), (1, 3, 1)])
+        cut = VertexCut(frozenset({0}), 0, 2)
+        built, checked = [], []
+        init, check = _FairnessNetwork.__init__, _FairnessNetwork.check
+        monkeypatch.setattr(_FairnessNetwork, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+        monkeypatch.setattr(_FairnessNetwork, "check", lambda self, alpha: checked.append(alpha) or check(self, alpha))
+        assert min_fair_alpha(g, cut) == pytest.approx(2.0, rel=1e-5)
+        assert len(built) == 1 and len(checked) > 10
+
     def test_single_edge(self):
         g = CapacitatedGraph(2, [(0, 1, 10)])
         assert min_fair_alpha(g, VertexCut(frozenset({0}), 0, 1)) == 1.0
