@@ -38,7 +38,6 @@ from .flowcut import (
     threshold_cut,
 )
 from .graph import (
-    BidirectedView,
     CapacitatedGraph,
     FlowAssignment,
     ResidualView,

@@ -18,7 +18,6 @@ the builder:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -109,34 +108,12 @@ class CutMatrix:
             self._indicator_t = self.indicator.T
         return self._indicator_t @ (self.weights * y)
 
-    def to_json(self) -> str:
-        doc = {
-            "n": self.n,
-            "kind": self.kind,
-            "alpha_bound": self.alpha_bound,
-            "rows": [[int(v) for v in r] for r in self.rows],
-            "weights": [float(w) for w in self.weights],
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CutMatrix":
-        doc = json.loads(text)
-        rows = [np.asarray(r, dtype=np.int64) for r in doc["rows"]]
-        return cls(
-            n=int(doc["n"]),
-            rows=rows,
-            weights=np.asarray(doc["weights"], dtype=np.float64),
-            kind=str(doc.get("kind", "custom")),
-            alpha_bound=float(doc.get("alpha_bound", float("inf"))),
-        )
-
 
 def row_boundary_values(cuts: CutMatrix, view) -> tuple[np.ndarray, np.ndarray]:
     """Per row, total arc capacity leaving and entering the cut side.
 
     ``view`` is anything with ``tails``/``heads``/``arc_caps`` arrays (a
-    bidirected or residual view).  Used for operator-norm checks and for
+    graph's bidirected arcs or a residual view).  Used for operator-norm checks and for
     scanning rows whose residual boundary certifies infeasibility.
     """
     tails, heads, caps = view.tails, view.heads, np.asarray(view.arc_caps, dtype=np.float64)
@@ -204,26 +181,9 @@ def _spanning_tree(g: CapacitatedGraph, seed: Optional[int]) -> np.ndarray:
         rng = np.random.default_rng(seed)
         keys = keys * rng.uniform(0.5, 1.5, g.m)
     order = np.lexsort((np.arange(g.m), -keys))
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    chosen = []
-    for e in order:
-        ru, rv = find(int(g.us[e])), find(int(g.vs[e]))
-        if ru != rv:
-            parent[ru] = rv
-            chosen.append(int(e))
-            if len(chosen) == g.n - 1:
-                break
+    chosen, labels = g.spanning_forest(order)
     if len(chosen) != g.n - 1:
-        labels = g.connected_components()
-        root = labels[0]
-        stranded = sorted(int(v) for v in np.nonzero(labels != root)[0])
+        stranded = sorted(int(v) for v in np.nonzero(labels != labels[0])[0])
         raise ValueError(f"graph is disconnected; stranded vertices include {stranded[:6]}")
     return np.asarray(sorted(chosen), dtype=np.int64)
 

@@ -16,19 +16,20 @@ prefix, which the sweep in :func:`threshold_cut` extracts in
 O(m + n log n).
 
 The saddle solver is a multiplicative-weights loop over the stacked rows,
-warm-started from an exact augmenting-path flow computed directly on the
-residual graph.  When that max-flow already reaches ``tau``, the scaled
-warm flow routes the whole demand, so the call returns it without building
-the cut matrix or entering the loop.  Otherwise the matrix is built and the
-loop runs from the warm start; on unroutable instances the weight pullback
-or a single matrix row certifies a cut within a few rounds, and the loop
+warm-started from the exact residual max-flow of
+:func:`faircut.oracles.max_flow_exact`, the package's one max-flow.  A
+max-flow of 0 means t is unreachable, and its min cut is returned at once.
+When the max-flow already reaches ``tau``, the scaled warm flow routes the
+whole demand, so the call returns it without building the cut matrix or
+entering the loop.  Otherwise the matrix is built and the loop runs from
+the warm start; on unroutable instances the weight pullback or a single
+matrix row certifies a cut within a few rounds, and the loop
 remains the authority for every cut certificate it emits.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -44,6 +45,7 @@ from .graph import (
     divergence,
     st_demand,
 )
+from .oracles import max_flow_exact
 
 __all__ = [
     "CutResult",
@@ -449,104 +451,6 @@ class CutResult:
     witness: Optional[DualWitness] = None
 
 
-def _positive_reachable(view: ResidualView, s: int, zero: float) -> set[int]:
-    graph = view.graph
-    caps = view.arc_caps
-    heads = graph.heads
-    seen = {s}
-    q = deque([s])
-    while q:
-        u = q.popleft()
-        for a in graph.out_arcs(u):
-            v = int(heads[a])
-            if v not in seen and caps[a] > zero:
-                seen.add(v)
-                q.append(v)
-    return seen
-
-
-def _residual_max_flow(view: ResidualView, s: int, t: int) -> tuple[float, np.ndarray, set[int]]:
-    """Exact augmenting max-flow directly on the residual arc arrays.
-
-    Returns ``(value, arc_flows, reachable)`` where the arc flows are
-    cancellation-free (at most one of an antiparallel pair is positive) and
-    ``reachable`` is the final positive-capacity reachable set from s.
-    """
-    graph = view.graph
-    n, m = graph.n, graph.m
-    caps = view.arc_caps
-    zero = graph.tolerance
-    heads = graph.heads
-    flow = np.zeros(graph.num_arcs, dtype=np.float64)
-    adj = [graph.out_arcs(v) for v in range(n)]
-
-    def avail(a: int) -> float:
-        return caps[a] - flow[a] + flow[(a + m) % (2 * m)]
-
-    def push(a: int, amount: float) -> None:
-        rev = (a + m) % (2 * m)
-        undo = min(flow[rev], amount)
-        flow[rev] -= undo
-        flow[a] += amount - undo
-
-    total = 0.0
-    level = np.empty(n, dtype=np.int64)
-    while True:
-        level.fill(-1)
-        level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for a in adj[u]:
-                v = int(heads[a])
-                if level[v] < 0 and avail(a) > zero:
-                    level[v] = level[u] + 1
-                    q.append(v)
-        if level[t] < 0:
-            break
-        it = [0] * n
-        path: list[int] = []
-        u = s
-        while True:
-            if u == t:
-                bottleneck = min(avail(a) for a in path)
-                for a in path:
-                    push(a, bottleneck)
-                total += bottleneck
-                k = 0
-                while avail(path[k]) > zero:
-                    k += 1
-                u = int(graph.tails[path[k]])
-                del path[k:]
-                continue
-            advanced = False
-            arcs = adj[u]
-            while it[u] < len(arcs):
-                a = int(arcs[it[u]])
-                if avail(a) > zero and level[int(heads[a])] == level[u] + 1:
-                    path.append(a)
-                    u = int(heads[a])
-                    advanced = True
-                    break
-                it[u] += 1
-            if not advanced:
-                if u == s:
-                    break
-                level[u] = -1
-                u = int(graph.tails[path.pop()])
-
-    reach = {s}
-    q = deque([s])
-    while q:
-        u = q.popleft()
-        for a in adj[u]:
-            v = int(heads[a])
-            if v not in reach and avail(a) > zero:
-                reach.add(v)
-                q.append(v)
-    return total, flow, reach
-
-
 def flow_or_cut(
     graph: CapacitatedGraph,
     residual: ResidualView,
@@ -588,19 +492,17 @@ def flow_or_cut(
     if residual.graph is not graph:
         raise ValueError("residual view does not belong to the base graph")
 
-    zero = graph.tolerance
-    reach = _positive_reachable(residual, s, zero)
-    if t not in reach:
-        cut = VertexCut(frozenset(reach), source=s, sink=t)
-        value = directed_cut_value(residual, cut)
+    maxflow, warm, mincut = max_flow_exact(residual, s, t)
+    if maxflow == 0:
+        # t is unreachable; the min cut is s's positive-capacity reachable set.
+        value = directed_cut_value(residual, mincut)
         if value >= tau:
             raise ValueError("threshold not positive enough to separate a saturated instance")
-        return CutResult(cut=cut, value=value, iterations=0, via="reachability")
+        return CutResult(cut=mincut, value=value, iterations=0, via="reachability")
 
-    maxflow, warm, warm_reach = _residual_max_flow(residual, s, t)
     caps = residual.arc_caps
     with np.errstate(divide="ignore", invalid="ignore"):
-        base_x = np.where(caps > 0, warm / np.maximum(caps, 1e-300), 0.0)
+        base_x = np.where(caps > 0, warm.values / np.maximum(caps, 1e-300), 0.0)
     routes_tau = maxflow >= tau * (1.0 - 1e-12)
     if routes_tau:
         x0 = np.clip(base_x * (tau / maxflow), 0.0, 1.0)
@@ -637,14 +539,14 @@ def flow_or_cut(
             raise RuntimeError("threshold sweep returned a cut at or above tau; dual was invalid")
         return CutResult(cut=cut, value=value, iterations=outcome.iterations, via="threshold-cut", witness=outcome)
 
-    # Budget expired: test the averaged weight pullbacks, then the exact
-    # reachable set of the warm flow, as salvage potentials.
+    # Budget expired: test the averaged weight pullbacks, then the warm
+    # flow's min-cut side, as salvage potentials.
     candidates: list[np.ndarray] = []
     candidates.append(problem.scaled_pullback(outcome.w2 - outcome.w1))
     candidates.append(problem.scaled_pullback(outcome.z1 - outcome.z2))
     if maxflow < tau:
         phi_ws = np.zeros(graph.n, dtype=np.float64)
-        phi_ws[list(warm_reach)] = 1.0
+        phi_ws[list(mincut.side)] = 1.0
         candidates.append(phi_ws)
     for phi in candidates:
         if not _margin_ok(problem, phi):

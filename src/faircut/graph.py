@@ -1,4 +1,4 @@
-"""Undirected capacitated graphs, bidirected arc views, flows, and cuts.
+"""Undirected capacitated graphs, their bidirected arcs, flows, and cuts.
 
 Conventions shared by every module in this package:
 
@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "CapacitatedGraph",
-    "BidirectedView",
     "FlowAssignment",
     "ResidualView",
     "SubgraphMask",
@@ -162,15 +161,18 @@ class CapacitatedGraph:
             self._arc_lookup = lookup
         return self._arc_lookup[(u, v)]
 
-    def bidirected(self) -> "BidirectedView":
-        return BidirectedView(self)
-
     # ------------------------------------------------------------------
     # structure
 
-    def connected_components(self, active_edges: Optional[np.ndarray] = None) -> np.ndarray:
-        """Component label per vertex, using only edges where active_edges is True."""
-        parent = np.arange(self.n, dtype=np.int64)
+    def spanning_forest(self, order: np.ndarray) -> tuple[list[int], np.ndarray]:
+        """Kruskal's union-find over the edge ids in ``order``, in that order.
+
+        An edge is chosen when it joins two components of the edges chosen
+        before it; the scan stops once ``n - 1`` edges are chosen.  Returns
+        ``(chosen_edges, labels)`` where ``labels[v]`` is the smallest vertex
+        id in v's component of the chosen edges.
+        """
+        parent = list(range(self.n))
 
         def find(x: int) -> int:
             root = x
@@ -180,18 +182,25 @@ class CapacitatedGraph:
                 parent[x], x = root, parent[x]
             return root
 
-        for e in range(self.m):
-            if active_edges is not None and not active_edges[e]:
-                continue
-            ru, rv = find(int(self.us[e])), find(int(self.vs[e]))
+        us, vs = self.us.tolist(), self.vs.tolist()
+        chosen: list[int] = []
+        for e in order.tolist():
+            ru, rv = find(us[e]), find(vs[e])
             if ru != rv:
                 parent[max(ru, rv)] = min(ru, rv)
+                chosen.append(e)
+                if len(chosen) == self.n - 1:
+                    break
         labels = np.fromiter((find(v) for v in range(self.n)), dtype=np.int64, count=self.n)
-        return labels
+        return chosen, labels
 
-    def is_connected(self) -> bool:
-        labels = self.connected_components()
-        return bool(np.all(labels == labels[0]))
+    def connected_components(self, active_edges: Optional[np.ndarray] = None) -> np.ndarray:
+        """Component label per vertex, using only edges where active_edges is True.
+
+        A label is the smallest vertex id in its component.
+        """
+        order = np.arange(self.m) if active_edges is None else np.flatnonzero(active_edges)
+        return self.spanning_forest(order)[1]
 
     def induced(
         self, vertices: Sequence[int], active_edges: Optional[np.ndarray] = None
@@ -224,20 +233,6 @@ class CapacitatedGraph:
             (pos[(int(u), int(v))] for u, v in zip(sub.us, sub.vs)), dtype=np.int64, count=sub.m
         )
         return sub, keep, kept_edges
-
-
-class BidirectedView:
-    """Directed view of an undirected graph: two antiparallel arcs per edge."""
-
-    def __init__(self, graph: CapacitatedGraph) -> None:
-        self.graph = graph
-        self.tails = graph.tails
-        self.heads = graph.heads
-        self.arc_caps = graph.arc_caps
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
 
 
 @dataclass(frozen=True)
@@ -291,14 +286,6 @@ class FlowAssignment:
         if self.graph.m == 0:
             return 0.0
         return float(np.max(self.values / self.graph.arc_caps))
-
-    def congestion_vector(self) -> np.ndarray:
-        """Per-arc flow/capacity ratios."""
-        return self.values / self.graph.arc_caps
-
-    @classmethod
-    def from_congestion(cls, graph: CapacitatedGraph, ratios: np.ndarray) -> "FlowAssignment":
-        return cls(graph, np.asarray(ratios, dtype=np.float64) * graph.arc_caps)
 
     def copy(self) -> "FlowAssignment":
         return FlowAssignment(self.graph, self.values.copy())
@@ -416,19 +403,13 @@ class VertexCut:
         return f"VertexCut(side={shown}, s={self.source}, t={self.sink})"
 
 
-def _as_arc_view(g) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Normalize graph-like inputs to (tails, heads, arc_caps, n)."""
-    return g.tails, g.heads, g.arc_caps, g.n
-
-
 def directed_cut_value(g, cut: VertexCut) -> float:
     """Total capacity of arcs with tail in S and head outside S.
 
-    Accepts a CapacitatedGraph (interpreted as its bidirected view), a
-    BidirectedView, or a ResidualView.  Raises on improper cuts (S empty or
-    S = V).
+    Accepts a CapacitatedGraph (interpreted as its bidirected arcs) or a
+    ResidualView.  Raises on improper cuts (S empty or S = V).
     """
-    tails, heads, caps, n = _as_arc_view(g)
+    tails, heads, caps, n = g.tails, g.heads, g.arc_caps, g.n
     if len(cut.side) >= n:
         raise ValueError("improper cut: side covers every vertex")
     mask = cut.member_mask(n)

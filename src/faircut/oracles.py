@@ -2,7 +2,9 @@
 
 These certify the approximate pipeline at desk scale.  Max-flow is a Dinic
 (level graph + blocking flow) implementation; it is exact on integer
-capacities and works on float capacities with the global tolerance.  The
+capacities and works on float capacities with the global tolerance.  It is
+the package's one max-flow: :mod:`faircut.flowcut` warm-starts from it on
+residual views.  The
 fairness check reduces to a flow-with-lower-bounds feasibility problem and
 the minimal fairness factor is found by binary search.
 
@@ -70,7 +72,8 @@ class _Dinic:
         other.cap = list(self.cap)
         return other
 
-    def _bfs(self, s: int, t: int, zero) -> bool:
+    def _bfs(self, s: int, zero) -> None:
+        """Level of every vertex reachable from s over arcs above ``zero``; -1 elsewhere."""
         self.level = [-1] * self.n
         self.level[s] = 0
         q = deque([s])
@@ -82,7 +85,6 @@ class _Dinic:
                 if level[v] < 0 and cap[a] > zero:
                     level[v] = level[u] + 1
                     q.append(v)
-        return self.level[t] >= 0
 
     def _dfs(self, s: int, t: int, zero):
         """One blocking-flow phase on the current level graph."""
@@ -123,22 +125,15 @@ class _Dinic:
 
     def solve(self, s: int, t: int, zero=0):
         total = 0
-        while self._bfs(s, t, zero):
+        self._bfs(s, zero)
+        while self.level[t] >= 0:
             total += self._dfs(s, t, zero)
+            self._bfs(s, zero)
         return total
 
     def reachable(self, s: int, zero=0) -> set[int]:
-        seen = {s}
-        q = deque([s])
-        to, cap, adj = self.to, self.cap, self.adj
-        while q:
-            u = q.popleft()
-            for a in adj[u]:
-                v = to[a]
-                if v not in seen and cap[a] > zero:
-                    seen.add(v)
-                    q.append(v)
-        return seen
+        self._bfs(s, zero)
+        return {v for v, lvl in enumerate(self.level) if lvl >= 0}
 
 
 def _zero_for(graph_like) -> float:
@@ -185,11 +180,7 @@ def max_flow_exact(
     used = np.zeros(base.num_arcs, dtype=np.float64)
     for a in orig:
         used[a] = orig[a] - solver.cap[ids[a]]
-    # Cancel per antiparallel pair so the returned flow is one-directional.
-    m = base.m
-    fwd, bwd = used[:m], used[m:]
-    low = np.minimum(fwd, bwd)
-    flow = FlowAssignment(base, np.concatenate([fwd - low, bwd - low]))
+    flow = FlowAssignment(base, used).cancel_antiparallel()
 
     reach = solver.reachable(s, zero=zero)
     if t in reach:
@@ -298,10 +289,7 @@ def min_congestion_routing(
     for a in range(g.num_arcs):
         aid = arc_ids[a]
         used[a] = hi * float(g.arc_caps[a]) - solver.cap[aid]
-    m = g.m
-    fwd, bwd = used[:m], used[m:]
-    low = np.minimum(fwd, bwd)
-    flow = FlowAssignment(g, np.maximum(np.concatenate([fwd - low, bwd - low]), 0.0))
+    flow = FlowAssignment(g, np.maximum(used, 0.0)).cancel_antiparallel()
     return opt, flow
 
 
@@ -414,10 +402,7 @@ class _FairnessNetwork:
             pushed = upper - solver.cap[arc]
             flow_vals[e + direction * g.m] += max(0.0, pushed) + lower
         # Normalize non-cut edges so the witness is cancellation-free everywhere.
-        m = g.m
-        fwd, bwd = flow_vals[:m], flow_vals[m:]
-        low = np.minimum(fwd, bwd)
-        flow = FlowAssignment(g, np.concatenate([fwd - low, bwd - low]))
+        flow = FlowAssignment(g, flow_vals).cancel_antiparallel()
         tau = (self.total_cap + 1.0) - solver.cap[self.return_arc]
         return FairnessCertificate(alpha=alpha, witness_flow=flow, value=float(tau))
 

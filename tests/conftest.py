@@ -55,6 +55,45 @@ def brute_directed_cut(tails, heads, caps, side: set, n: int) -> float:
     return total
 
 
+def bfs_components(n: int, us, vs, active=None) -> list[frozenset]:
+    """Vertex sets of the components over the edges where ``active`` holds, by BFS."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(zip(us, vs)):
+        if active is None or active[e]:
+            adj[int(u)].append(int(v))
+            adj[int(v)].append(int(u))
+    seen = [False] * n
+    parts = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        part, frontier = {root}, [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        part.add(v)
+                        nxt.append(v)
+            frontier = nxt
+        parts.append(frozenset(part))
+    return parts
+
+
+def reference_kruskal(n: int, us, vs, keys) -> set[int]:
+    """Maximum-key spanning forest, ties by edge id, by relabelling components."""
+    comp = list(range(n))
+    chosen = set()
+    for e in sorted(range(len(keys)), key=lambda e: (-float(keys[e]), e)):
+        a, b = comp[int(us[e])], comp[int(vs[e])]
+        if a != b:
+            comp = [a if c == b else c for c in comp]
+            chosen.add(e)
+    return chosen
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -211,7 +211,7 @@ def test_criterion_6_operator_norms():
         else:
             matrix = build_multi_tree(g, 4, seed=i)
         # full bidirected view: rows exactly 2
-        norms = operator_row_norms(matrix, g.bidirected())
+        norms = operator_row_norms(matrix, g)
         assert np.all(np.abs(norms - 2.0) <= 1e-12)
         # subgraph of the bidirected view: at most 2
         removed = frozenset(int(e) for e in rng.choice(g.m, size=g.m // 4, replace=False))

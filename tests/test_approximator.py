@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faircut.approximator import (
-    CutMatrix,
+    _spanning_tree,
     build_exhaustive,
     build_multi_tree,
     build_tree,
@@ -20,7 +24,7 @@ from faircut.graph import (
 from faircut.generators import random_connected_graph, random_feasible_flow
 from faircut.oracles import min_congestion_routing
 
-from conftest import brute_opt_congestion, small_graph
+from conftest import bfs_components, brute_opt_congestion, reference_kruskal, small_graph
 
 
 class TestApply:
@@ -186,7 +190,7 @@ class TestOperatorNorms:
     def test_bidirected_rows_exactly_two(self, rng):
         for builder in (build_exhaustive, lambda g: build_tree(g, seed=0)):
             g = small_graph(rng, n_lo=4, n_hi=10)
-            norms = operator_row_norms(builder(g), g.bidirected())
+            norms = operator_row_norms(builder(g), g)
             assert np.all(np.abs(norms - 2.0) < 1e-12)
 
     def test_subgraph_rows_at_most_two(self, rng):
@@ -204,18 +208,24 @@ class TestOperatorNorms:
             assert np.all(operator_row_norms(cuts, view) <= 4.0 + 1e-9)
 
 
-class TestSerialization:
-    def test_json_round_trip(self, rng):
-        g = small_graph(rng, n_lo=4, n_hi=9)
-        cuts = build_multi_tree(g, 3, seed=11)
-        back = CutMatrix.from_json(cuts.to_json())
-        assert back.n == cuts.n and back.kind == cuts.kind
-        assert back.alpha_bound == cuts.alpha_bound
-        assert [tuple(r) for r in back.rows] == [tuple(r) for r in cuts.rows]
-        assert np.array_equal(back.weights, cuts.weights)
-        d = rng.normal(size=g.n)
-        d -= d.mean()
-        assert back.estimate(d) == cuts.estimate(d)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.one_of(st.none(), st.integers(0, 2**31)))
+def test_spanning_tree_matches_reference_kruskal(state, seed):
+    gen = np.random.default_rng(state)
+    g = small_graph(gen, n_lo=2, n_hi=10, max_cap=3)  # small capacities: many ties
+    if gen.random() < 0.3:  # drop some edges; the graph may come apart
+        keep = gen.random(g.m) < 0.7
+        g = CapacitatedGraph(g.n, [e for e, k in zip(g.edge_list(), keep) if k])
+    keys = g.caps.astype(np.float64)
+    if seed is not None:
+        keys = keys * np.random.default_rng(seed).uniform(0.5, 1.5, g.m)
+    parts = bfs_components(g.n, g.us, g.vs)
+    if len(parts) > 1:
+        stranded = sorted(set(range(g.n)) - parts[0])
+        with pytest.raises(ValueError, match=re.escape(f"stranded vertices include {stranded[:6]}")):
+            _spanning_tree(g, seed)
+    else:
+        assert set(_spanning_tree(g, seed).tolist()) == reference_kruskal(g.n, g.us, g.vs, keys)
 
 
 def test_resolve_builder_descriptors(rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from faircut import driver
-from faircut.approximator import build_exhaustive, build_multi_tree, operator_row_norms
+from faircut.approximator import build_exhaustive, build_multi_tree, build_tree, operator_row_norms
 from faircut.driver import _make_state, iterate_once
 from faircut.flowcut import (
     CutResult,
@@ -301,6 +301,29 @@ class TestFlowOrCut:
         # warm start satisfies the slack immediately; dual traces carry margins
         for row in trace:
             assert len(row) == 3 and row[0] >= 1
+
+
+class TestSalvage:
+    def test_one_round_budget_salvages_the_warm_start_min_cut(self, rng):
+        # One saddle round rarely certifies a cut, and with tau just above the
+        # max-flow the warm start's min-cut side is a valid salvage potential.
+        salvaged = 0
+        for i in range(60):
+            g = small_graph(rng, n_lo=6, n_hi=13)
+            s, t = 0, g.n - 1
+            res = empty_residual(g)
+            maxflow, _, _ = max_flow_exact(res, s, t)
+            tau = 1.05 * maxflow
+            out = flow_or_cut(g, res, s, t, tau, eps=0.1, cuts=build_tree(g, seed=i), budget=1)
+            assert isinstance(out, CutResult)
+            if out.via != "salvage":
+                assert out.via == "threshold-cut"
+                continue
+            salvaged += 1
+            assert out.value < tau
+            assert s in out.cut.side and t not in out.cut.side
+            assert out.value == brute_directed_cut(g.tails, g.heads, res.arc_caps, out.cut.side, g.n)
+        assert salvaged >= 5
 
 
 def refusing_builder():

@@ -19,7 +19,7 @@ from faircut.graph import (
 )
 from faircut.generators import random_feasible_flow
 
-from conftest import small_graph
+from conftest import bfs_components, small_graph
 
 
 def path_2_1():
@@ -213,12 +213,6 @@ class TestFlows:
         f = FlowAssignment.from_arc_dict(g, {(0, 1): 3})
         assert f.congestion() == pytest.approx(0.75)
 
-    def test_congestion_vector_round_trip(self, rng):
-        g = small_graph(rng)
-        f = random_feasible_flow(g, rng)
-        back = FlowAssignment.from_congestion(g, f.congestion_vector())
-        assert np.allclose(back.values, f.values)
-
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
@@ -232,6 +226,22 @@ def test_cancellation_preserves_divergence(state):
     assert np.allclose(divergence(cancelled), divergence(noisy), atol=1e-9)
     m = g.m
     assert np.all(np.minimum(cancelled.values[:m], cancelled.values[m:]) == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_components_match_bfs(state):
+    gen = np.random.default_rng(state)
+    n = int(gen.integers(1, 13))
+    pairs = gen.integers(0, n, size=(int(gen.integers(0, 2 * n + 1)), 2))
+    g = CapacitatedGraph(n, [(int(u), int(v), 1) for u, v in pairs if u != v])
+    for active in (None, gen.random(g.m) < 0.6):
+        labels = g.connected_components(active_edges=active)
+        parts = bfs_components(g.n, g.us, g.vs, active)
+        # Same partition, and each label is the smallest id in its part.
+        for part in parts:
+            assert {int(labels[v]) for v in part} == {min(part)}
+        assert len(set(labels.tolist())) == len(parts)
 
 
 def test_st_demand_sums_to_zero():
