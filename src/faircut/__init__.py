@@ -31,7 +31,6 @@ from .flowcut import (
     ReducedProblem,
     SolverExhausted,
     ThresholdCutError,
-    dual_to_potential,
     flow_or_cut,
     reduce_problem,
     saddle_solve,

@@ -5,18 +5,17 @@ Given a base graph, a residual view, vertices ``s, t`` and a threshold
 below ``tau`` or a feasible residual flow whose unrouted remainder is
 routable in the base graph with congestion at most ``eps``.
 
-The decision runs through a two-commodity reduction: the flow's congestion
-vector is paired with its per-arc complement, the cut-matrix rows (scaled
-by 1/4 so the stacked operator has unit infinity-to-infinity norm) turn the
-divergence constraints into a bounded row system, and a saddle solver
-produces either a near-feasible primal point or nonnegative row weights
-whose pulled-back vertex potential certifies infeasibility.  A potential
-with a positive certificate value always admits a violating threshold
-prefix, which the sweep in :func:`threshold_cut` extracts in
-O(m + n log n).
+The decision is an l-infinity problem over the cut-matrix rows, scaled by
+1/4 so that each row has l1 norm at most 1 on the residual operator: find a
+congestion vector ``x`` in [0,1]^arcs whose divergence meets the demand on
+every scaled row within the slack.  The saddle solver runs multiplicative
+weights over the scaled rows and their negations.  Its averaged weights
+give one signed weight per row, and the pullback of that signed vector is
+a vertex potential; a potential with a positive certificate margin always
+admits a violating threshold prefix, which the sweep in
+:func:`threshold_cut` extracts in O(m + n log n).
 
-The saddle solver is a multiplicative-weights loop over the stacked rows,
-warm-started from the exact residual max-flow of
+The solver is warm-started from the exact residual max-flow of
 :func:`faircut.oracles.max_flow_exact`, the package's one max-flow.  A
 max-flow of 0 means t is unreachable, and its min cut is returned at once.
 When the max-flow already reaches ``tau``, the scaled warm flow routes the
@@ -56,7 +55,6 @@ __all__ = [
     "ReducedProblem",
     "SolverExhausted",
     "ThresholdCutError",
-    "dual_to_potential",
     "flow_or_cut",
     "reduce_problem",
     "saddle_solve",
@@ -83,20 +81,15 @@ class SolverExhausted(RuntimeError):
 
 @dataclass
 class ReducedProblem:
-    """Stacked row system for one flow-or-cut decision.
+    """Scaled row system for one flow-or-cut decision.
 
-    ``demand`` is the target divergence; ``empty_demand`` is the divergence
-    of the all-ones congestion vector minus ``demand``, so that a congestion
-    vector ``x`` together with its complement ``1 - x`` satisfies the paired
-    system exactly when ``x`` routes the demand.  ``alpha`` is the factor by
-    which the cut-matrix estimate may undershoot the true optimal
-    congestion.
+    ``demand`` is the target divergence.  ``alpha`` is the factor by which
+    the cut-matrix estimate may undershoot the true optimal congestion.
     """
 
     graph: CapacitatedGraph
     residual: ResidualView
     demand: np.ndarray
-    empty_demand: np.ndarray
     cuts: CutMatrix
     alpha: float
 
@@ -129,14 +122,13 @@ def reduce_problem(
     residual: ResidualView,
     demand: np.ndarray,
     cuts: CutMatrix,
-    alpha: Optional[float] = None,
 ) -> ReducedProblem:
-    """Assemble the stacked system for a residual view and a demand.
+    """Assemble the scaled row system for a residual view and a demand.
 
     Raises:
         ValueError: for a cut matrix with non-positive or non-finite row
-            weights, a mismatched demand length, or a missing alpha when the
-            matrix carries no certified bound.
+            weights, a mismatched demand length, or a matrix that carries
+            no certified ``alpha_bound``.
     """
     if residual.graph is not graph:
         raise ValueError("residual view does not belong to the base graph")
@@ -147,22 +139,10 @@ def reduce_problem(
         raise ValueError("cut matrix was built for a different vertex count")
     if cuts.weights.size and (not np.all(np.isfinite(cuts.weights)) or cuts.weights.min() <= 0):
         raise ValueError("cut matrix contains a zero-capacity row")
-    if alpha is None:
-        alpha = cuts.alpha_bound
+    alpha = cuts.alpha_bound
     if not (math.isfinite(alpha) and alpha >= 1):
-        raise ValueError("no usable congestion factor: pass alpha or use a builder with a bound")
-    all_ones = np.ones(graph.num_arcs, dtype=np.float64)
-    out = np.bincount(graph.tails, weights=residual.arc_caps * all_ones, minlength=graph.n)
-    inc = np.bincount(graph.heads, weights=residual.arc_caps * all_ones, minlength=graph.n)
-    empty_demand = (out - inc) - demand
-    return ReducedProblem(
-        graph=graph,
-        residual=residual,
-        demand=demand,
-        empty_demand=empty_demand,
-        cuts=cuts,
-        alpha=float(alpha),
-    )
+        raise ValueError("no usable congestion factor: the cut matrix carries no certified bound")
+    return ReducedProblem(graph=graph, residual=residual, demand=demand, cuts=cuts, alpha=float(alpha))
 
 
 @dataclass
@@ -176,30 +156,29 @@ class PrimalCertificate:
 
 @dataclass
 class DualWitness:
-    """Nonnegative weights over the stacked rows certifying infeasibility.
+    """Signed row weights certifying infeasibility.
 
-    ``w1/z1`` weight the +/- row copies on the flow column, ``w2/z2`` the
-    +/- copies on the complement column.  ``potential`` is the pulled-back
-    vertex potential of the successful branch.
+    ``y`` holds one weight per cut-matrix row: positive where the demand
+    inside the row outruns the residual capacity leaving it, negative where
+    the demand outside outruns the capacity entering it.  ``potential`` is
+    ``scaled_pullback(y)``; its certificate margin is positive, so it is
+    positive against ``demand - operator(x)`` for every ``x`` in [0,1]^arcs.
     """
 
-    w1: np.ndarray
-    z1: np.ndarray
-    w2: np.ndarray
-    z2: np.ndarray
-    potential: Optional[np.ndarray] = None
-    branch: Optional[str] = None
-    iterations: int = 0
+    y: np.ndarray
+    potential: np.ndarray
+    iterations: int
 
 
 @dataclass
 class ExhaustedOutcome:
-    """Budget ran out; carries the averaged weights and best primal point."""
+    """Budget ran out.
 
-    w1: np.ndarray
-    z1: np.ndarray
-    w2: np.ndarray
-    z2: np.ndarray
+    ``y`` holds the averaged signed row weights (all zero for a zero
+    budget); ``best_x`` is the best primal point seen, with gap ``best_gap``.
+    """
+
+    y: np.ndarray
     best_x: np.ndarray
     best_gap: float
     iterations: int
@@ -208,44 +187,25 @@ class ExhaustedOutcome:
 SaddleOutcome = Union[PrimalCertificate, DualWitness, ExhaustedOutcome]
 
 
-def dual_to_potential(
-    witness: DualWitness, problem: ReducedProblem, x: np.ndarray
-) -> tuple[np.ndarray, str]:
-    """Derive a vertex potential from stacked-row weights.
-
-    Tries the two weight differences ``w2 - w1`` and ``z1 - z2``; pulled
-    back through the scaled rows, one of them must give a potential with
-    ``phi . (demand - operator(x)) > 0`` whenever the weights are a valid
-    dual for the candidate ``x``.  Scaling the weights by any positive
-    constant leaves the outcome unchanged.
-
-    Raises:
-        RuntimeError: when neither branch is positive (the weights do not
-            certify anything for this candidate).
-    """
-    residual_vec = problem.demand - problem.operator(x)
-    for name, diff in (("w2-w1", witness.w2 - witness.w1), ("z1-z2", witness.z1 - witness.z2)):
-        phi = problem.scaled_pullback(diff)
-        if float(phi @ residual_vec) > 0.0:
-            return phi, name
-    raise RuntimeError("dual weights certify nothing: both potential branches are non-positive")
+def _margin_terms(problem: ReducedProblem, phi: np.ndarray) -> tuple[float, float]:
+    """``phi . d`` and ``sum_a c'_a * max(0, drop along a)``."""
+    saturated = float(np.maximum(problem.adjoint(phi), 0.0).sum())
+    return float(phi @ problem.demand), saturated
 
 
 def potential_margin(problem: ReducedProblem, phi: np.ndarray) -> float:
     """Certificate value ``phi . d  -  sum_a c'_a * max(0, drop along a)``.
 
     A strictly positive margin guarantees a threshold prefix whose demand
-    exceeds its residual boundary.
+    exceeds its residual boundary.  It also bounds ``phi . (d - operator(x))``
+    from below for every ``x`` in [0,1]^arcs.
     """
-    drops = problem.adjoint(phi)
-    saturated = float(np.maximum(drops, 0.0).sum())
-    return float(phi @ problem.demand) - saturated
+    value, saturated = _margin_terms(problem, phi)
+    return value - saturated
 
 
 def _margin_ok(problem: ReducedProblem, phi: np.ndarray) -> bool:
-    drops = problem.adjoint(phi)
-    saturated = float(np.maximum(drops, 0.0).sum())
-    value = float(phi @ problem.demand)
+    value, saturated = _margin_terms(problem, phi)
     return value - saturated > 1e-10 * max(1.0, abs(value), saturated)
 
 
@@ -254,15 +214,17 @@ def saddle_solve(
     eps_over_alpha: float,
     budget: int,
     x0: Optional[np.ndarray] = None,
-    trace: Optional[list] = None,
 ) -> SaddleOutcome:
     """Multiplicative-weights search for a primal point or a dual witness.
 
-    Each round plays the best-response congestion vector against the
-    current row weights, checks the running primal average (and the warm
-    start) against the slack, and tests whether the averaged weights pull
-    back to a potential with a positive certificate margin.  A one-time row
-    scan also tests every matrix row directly: any row whose demand excess
+    The experts are the scaled rows and their negations; at congestion
+    vector ``x`` row ``i`` loses ``u_i`` and its negation ``-u_i``, where
+    ``u = scaled_rows(operator(x) - demand)``.  Each round plays the
+    best-response congestion vector against the current weights, checks the
+    running primal average (and the warm start) against the slack, and
+    tests whether the averaged signed weights ``y = avg_minus - avg_plus``
+    pull back to a potential with a positive certificate margin.  The first
+    round also scans every matrix row directly: any row whose demand excess
     beats its residual boundary is itself a valid witness.
 
     Returns:
@@ -280,26 +242,23 @@ def saddle_solve(
         x0 = np.zeros(num_arcs, dtype=np.float64)
     best_x = x0
     best_gap = problem.primal_gap(x0)
-
-    uniform = np.full(r, 1.0 / max(4 * r, 1), dtype=np.float64)
     if budget == 0:
-        return ExhaustedOutcome(uniform, uniform, uniform, uniform, best_x, best_gap, 0)
+        return ExhaustedOutcome(np.zeros(r, dtype=np.float64), best_x, best_gap, 0)
 
-    loss_sum = np.zeros((4, r), dtype=np.float64)
-    weight_sum = np.zeros((4, r), dtype=np.float64)
+    loss_sum = np.zeros((2, r), dtype=np.float64)  # row order: plus, minus
+    weight_sum = np.zeros((2, r), dtype=np.float64)
     xbar = np.zeros(num_arcs, dtype=np.float64)
     x_play = x0
     width = 1e-12
-    row_scan_done = False
 
     for t in range(1, budget + 1):
         if best_gap <= eps_over_alpha:
             return PrimalCertificate(best_x, best_gap, t - 1)
 
         u = problem.scaled_rows(problem.operator(x_play) - problem.demand)
-        losses = np.stack([u, -u, -u, u])  # block order: w1, z1, w2, z2
         width = max(width, float(np.max(np.abs(u))) if u.size else 0.0)
-        loss_sum += losses
+        loss_sum[0] += u
+        loss_sum[1] -= u
         eta = math.sqrt(8.0 * math.log(max(4 * r, 2)) / t) / width
         shifted = eta * loss_sum
         shifted -= shifted.max()
@@ -308,46 +267,35 @@ def saddle_solve(
         weight_sum += p
 
         avg = weight_sum / t
-        witness = DualWitness(w1=avg[0], z1=avg[1], w2=avg[2], z2=avg[3], iterations=t)
-        try:
-            phi, branch = dual_to_potential(witness, problem, best_x)
-        except RuntimeError:
-            phi = None
-        if phi is not None and _margin_ok(problem, phi):
-            witness.potential = phi
-            witness.branch = branch
-            if trace is not None:
-                trace.append((t, best_gap, potential_margin(problem, phi)))
-            return witness
+        y = avg[1] - avg[0]
+        phi = problem.scaled_pullback(y)
+        if _margin_ok(problem, phi):
+            return DualWitness(y, phi, t)
 
-        if not row_scan_done:
-            row_scan_done = True
+        if t == 1:
             witness = _scan_rows(problem, t)
             if witness is not None:
                 return witness
 
-        cost_flow = problem.adjoint(problem.scaled_pullback(p[0] - p[1]))
-        cost_rest = problem.adjoint(problem.scaled_pullback(p[2] - p[3]))
-        x_t = (cost_flow < cost_rest).astype(np.float64)
+        x_t = (problem.adjoint(problem.scaled_pullback(p[0] - p[1])) < 0).astype(np.float64)
         xbar += (x_t - xbar) / t
         gap = problem.primal_gap(xbar)
         if gap < best_gap:
             best_gap, best_x = gap, xbar.copy()
-        if trace is not None:
-            trace.append((t, best_gap, float("nan")))
         x_play = x_t
 
     avg = weight_sum / budget
-    return ExhaustedOutcome(avg[0], avg[1], avg[2], avg[3], best_x, best_gap, budget)
+    return ExhaustedOutcome(avg[1] - avg[0], best_x, best_gap, budget)
 
 
 def _scan_rows(problem: ReducedProblem, iterations: int) -> Optional[DualWitness]:
     """Test every cut-matrix row as a one-row dual witness.
 
     A row certifies infeasibility when the demand inside it exceeds the
-    residual capacity leaving it (or the mirrored statement for its
-    complement).  Returns a witness built from the best-margin row,
-    preferring the outgoing side; None when no row has positive margin.
+    residual capacity leaving it (``y = +1`` on the row), or when the demand
+    outside it exceeds the residual capacity entering it (``y = -1``).
+    Returns a witness built from the best-margin row, preferring the
+    outgoing side; None when no row has positive margin.
     """
     cuts = problem.cuts
     if not cuts.row_count:
@@ -355,31 +303,15 @@ def _scan_rows(problem: ReducedProblem, iterations: int) -> Optional[DualWitness
     delta = np.asarray(cuts.indicator @ problem.demand).ravel()
     out_bound, in_bound = row_boundary_values(cuts, problem.residual)
     scale = np.maximum(1.0, np.maximum(np.abs(delta), np.maximum(out_bound, in_bound)))
-    fwd_margin = (delta - out_bound) / scale
-    bwd_margin = (-delta - in_bound) / scale
-    best_fwd = int(np.argmax(fwd_margin)) if fwd_margin.size else -1
-    best_bwd = int(np.argmax(bwd_margin)) if bwd_margin.size else -1
-    zeros = np.zeros(cuts.row_count, dtype=np.float64)
-    if best_fwd >= 0 and fwd_margin[best_fwd] > 1e-10:
-        w2 = zeros.copy()
-        w2[best_fwd] = 1.0
-        witness = DualWitness(w1=zeros.copy(), z1=zeros.copy(), w2=w2, z2=zeros.copy(), iterations=iterations)
-        phi = problem.scaled_pullback(w2)
-        if _margin_ok(problem, phi):
-            witness.potential = phi
-            witness.branch = "w2-w1"
-            return witness
-    if best_bwd >= 0 and bwd_margin[best_bwd] > 1e-10:
-        # Complement side: weight the positive row copy on the flow column,
-        # so the branch difference w2 - w1 pulls back to a negated indicator.
-        w1 = zeros.copy()
-        w1[best_bwd] = 1.0
-        phi = problem.scaled_pullback(-w1)
-        if _margin_ok(problem, phi):
-            witness = DualWitness(w1=w1, z1=zeros.copy(), w2=zeros.copy(), z2=zeros.copy(), iterations=iterations)
-            witness.potential = phi
-            witness.branch = "w2-w1"
-            return witness
+    y = np.zeros(cuts.row_count, dtype=np.float64)
+    for sign, margin in ((1.0, (delta - out_bound) / scale), (-1.0, (-delta - in_bound) / scale)):
+        row = int(np.argmax(margin))
+        if margin[row] > 1e-10:
+            y[row] = sign
+            phi = problem.scaled_pullback(y)
+            if _margin_ok(problem, phi):
+                return DualWitness(y, phi, iterations)
+            y[row] = 0.0
     return None
 
 
@@ -460,8 +392,6 @@ def flow_or_cut(
     eps: float,
     cuts: Union[CutMatrix, Callable[[], CutMatrix]],
     budget: int = 1000,
-    alpha: Optional[float] = None,
-    trace: Optional[list] = None,
 ) -> Union[FlowResult, CutResult]:
     """Feasible flow toward ``tau`` units s->t, or a cut below ``tau``.
 
@@ -518,9 +448,9 @@ def flow_or_cut(
 
     if not isinstance(cuts, CutMatrix):
         cuts = cuts()
-    problem = reduce_problem(graph, residual, demand, cuts, alpha=alpha)
+    problem = reduce_problem(graph, residual, demand, cuts)
     slack = (eps / EPSILON_SHRINK) / problem.alpha
-    outcome = saddle_solve(problem, slack, budget, x0=x0, trace=trace)
+    outcome = saddle_solve(problem, slack, budget, x0=x0)
 
     if isinstance(outcome, PrimalCertificate):
         flow = FlowAssignment(graph, outcome.x * caps)
@@ -539,11 +469,9 @@ def flow_or_cut(
             raise RuntimeError("threshold sweep returned a cut at or above tau; dual was invalid")
         return CutResult(cut=cut, value=value, iterations=outcome.iterations, via="threshold-cut", witness=outcome)
 
-    # Budget expired: test the averaged weight pullbacks, then the warm
+    # Budget expired: test the averaged weight pullback, then the warm
     # flow's min-cut side, as salvage potentials.
-    candidates: list[np.ndarray] = []
-    candidates.append(problem.scaled_pullback(outcome.w2 - outcome.w1))
-    candidates.append(problem.scaled_pullback(outcome.z1 - outcome.z2))
+    candidates = [problem.scaled_pullback(outcome.y)]
     if maxflow < tau:
         phi_ws = np.zeros(graph.n, dtype=np.float64)
         phi_ws[list(mincut.side)] = 1.0

@@ -223,16 +223,9 @@ class CapacitatedGraph:
         sub_edges = [
             (int(remap[self.us[e]]), int(remap[self.vs[e]]), int(self.caps[e])) for e in edge_ids
         ]
-        sub = CapacitatedGraph(len(keep), sub_edges)
-        # CapacitatedGraph sorts its edge list; recover the id mapping.
-        pos = {}
-        for e in edge_ids:
-            a, b = int(remap[self.us[e]]), int(remap[self.vs[e]])
-            pos[(min(a, b), max(a, b))] = int(e)
-        kept_edges = np.fromiter(
-            (pos[(int(u), int(v))] for u, v in zip(sub.us, sub.vs)), dtype=np.int64, count=sub.m
-        )
-        return sub, keep, kept_edges
+        # The parent's edges are sorted and remap keeps vertex order, so the
+        # subgraph lists its edges in edge_ids order.
+        return CapacitatedGraph(len(keep), sub_edges), keep, edge_ids
 
 
 @dataclass(frozen=True)

@@ -164,22 +164,18 @@ def max_flow_exact(
         base, arc_caps = g.graph, g.arc_caps
         integral = False
 
+    live = np.flatnonzero(arc_caps > 0)
+    caps = arc_caps[live].tolist()
+    if integral:
+        caps = [int(c) for c in caps]
     solver = _Dinic(base.n)
-    ids = np.full(base.num_arcs, -1, dtype=np.int64)
-    orig = {}
-    for a in range(base.num_arcs):
-        c = arc_caps[a]
-        if c <= 0:
-            continue
-        cap = int(c) if integral else float(c)
-        ids[a] = solver.add_arc(int(base.tails[a]), int(base.heads[a]), cap)
-        orig[a] = cap
-    zero = _zero_for(g) if not integral else 0
+    for u, v, c in zip(base.tails[live].tolist(), base.heads[live].tolist(), caps):
+        solver.add_arc(u, v, c)
+    zero = _zero_for(g)
     value = solver.solve(s, t, zero=zero)
 
     used = np.zeros(base.num_arcs, dtype=np.float64)
-    for a in orig:
-        used[a] = orig[a] - solver.cap[ids[a]]
+    used[live] = [c - left for c, left in zip(caps, solver.cap[::2])]  # live arc k has id 2k
     flow = FlowAssignment(base, used).cancel_antiparallel()
 
     reach = solver.reachable(s, zero=zero)
@@ -226,19 +222,19 @@ def min_congestion_routing(
     src, snk = g.n, g.n + 1
     feas_tol = 1e-12 * supply  # relative: float noise in the flow sums is far below this
 
+    tails, heads, arc_caps, demands = g.tails.tolist(), g.heads.tolist(), g.arc_caps.tolist(), d.tolist()
+
     def attempt(kappa: float):
         solver = _Dinic(g.n + 2)
-        arc_ids = []
-        for a in range(g.num_arcs):
-            arc_ids.append(solver.add_arc(int(g.tails[a]), int(g.heads[a]), kappa * float(g.arc_caps[a])))
-        for v in range(g.n):
-            if d[v] > 0:
-                solver.add_arc(src, v, float(d[v]))
-            elif d[v] < 0:
-                solver.add_arc(v, snk, float(-d[v]))
+        for u, v, c in zip(tails, heads, arc_caps):
+            solver.add_arc(u, v, kappa * c)
+        for v, dv in enumerate(demands):
+            if dv > 0:
+                solver.add_arc(src, v, dv)
+            elif dv < 0:
+                solver.add_arc(v, snk, -dv)
         value = solver.solve(src, snk, zero=0.0)
-        ok = value >= supply - feas_tol
-        return ok, solver, arc_ids
+        return value >= supply - feas_tol, solver
 
     violated: Optional[frozenset] = None
 
@@ -250,7 +246,7 @@ def min_congestion_routing(
             violated = side
 
     hi = 1.0
-    ok, solver, arc_ids = attempt(hi)
+    ok, solver = attempt(hi)
     doublings = 0
     while not ok:
         record_violation(solver)
@@ -258,14 +254,14 @@ def min_congestion_routing(
         doublings += 1
         if doublings > 80:
             raise RuntimeError("congestion search failed to bracket; demand appears unroutable")
-        ok, solver, arc_ids = attempt(hi)
+        ok, solver = attempt(hi)
     lo = 0.0 if doublings == 0 else hi / 2.0
 
     while hi - lo > CONGESTION_INTERVAL_REL * max(hi, 1e-30) and hi - lo > 1e-18:
         mid = 0.5 * (lo + hi)
-        ok, cand_solver, cand_ids = attempt(mid)
+        ok, cand_solver = attempt(mid)
         if ok:
-            hi, solver, arc_ids = mid, cand_solver, cand_ids
+            hi, solver = mid, cand_solver
         else:
             record_violation(cand_solver)
             lo = mid
@@ -285,10 +281,8 @@ def min_congestion_routing(
             if ratio >= lo * (1.0 - 1e-12):
                 opt = ratio
 
-    used = np.zeros(g.num_arcs, dtype=np.float64)
-    for a in range(g.num_arcs):
-        aid = arc_ids[a]
-        used[a] = hi * float(g.arc_caps[a]) - solver.cap[aid]
+    # Arc a of g was added first, in order, so its forward id is 2a.
+    used = hi * g.arc_caps - np.asarray(solver.cap[: 2 * g.num_arcs : 2], dtype=np.float64)
     flow = FlowAssignment(g, np.maximum(used, 0.0)).cancel_antiparallel()
     return opt, flow
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from faircut import driver
-from faircut.approximator import build_exhaustive, build_multi_tree, build_tree, operator_row_norms
+from faircut.approximator import CutMatrix, build_exhaustive, build_multi_tree, build_tree, operator_row_norms
 from faircut.driver import _make_state, iterate_once
 from faircut.flowcut import (
     CutResult,
@@ -12,7 +12,8 @@ from faircut.flowcut import (
     PrimalCertificate,
     SolverExhausted,
     ThresholdCutError,
-    dual_to_potential,
+    _margin_ok,
+    _scan_rows,
     flow_or_cut,
     potential_margin,
     reduce_problem,
@@ -42,15 +43,6 @@ def empty_residual(g):
 
 
 class TestReduce:
-    def test_empty_flow_zero_demand(self):
-        g = single_edge(3)
-        res = empty_residual(g)
-        problem = reduce_problem(g, res, np.zeros(2), build_exhaustive(g))
-        # with d = 0 the complement demand is the divergence of the all-ones
-        # congestion vector, which vanishes on an unmasked bidirected view
-        assert np.allclose(problem.empty_demand, problem.operator(np.ones(g.num_arcs)))
-        assert np.allclose(problem.empty_demand, 0.0)
-
     def test_single_edge_operator_column(self):
         g = single_edge(1)
         res = empty_residual(g)
@@ -58,17 +50,6 @@ class TestReduce:
         x = np.zeros(g.num_arcs)
         x[g.arc_index(0, 1)] = 1.0
         assert np.allclose(problem.operator(x), [1.0, -1.0])
-
-    def test_complement_identity_with_flow(self, rng):
-        # operator(x) - demand == -(operator(1-x) - empty_demand) by design
-        g = small_graph(rng)
-        res = ResidualView(g, random_feasible_flow(g, rng))
-        d = st_demand(g.n, 0, g.n - 1, 2.0)
-        problem = reduce_problem(g, res, d, build_multi_tree(g, 2, seed=0))
-        x = rng.uniform(0, 1, g.num_arcs)
-        lhs = problem.operator(x) - d
-        rhs = -(problem.operator(1.0 - x) - problem.empty_demand)
-        assert np.allclose(lhs, rhs, atol=1e-9)
 
     def test_scaled_row_norms_at_most_one(self, rng):
         for _ in range(8):
@@ -81,10 +62,16 @@ class TestReduce:
         g = single_edge(2)
         res = empty_residual(g)
         with pytest.raises(ValueError):
-            from faircut.approximator import CutMatrix
-
             bad = CutMatrix(n=2, rows=[np.array([0])], weights=np.array([np.inf]))
             reduce_problem(g, res, np.zeros(2), bad)
+
+    def test_matrix_without_bound_rejected(self):
+        # A custom builder may leave alpha_bound at its default, inf.
+        g = single_edge(2)
+        unbounded = CutMatrix(n=2, rows=[np.array([0])], weights=np.array([0.5]))
+        assert unbounded.alpha_bound == float("inf")
+        with pytest.raises(ValueError, match="certified bound"):
+            reduce_problem(g, empty_residual(g), np.zeros(2), unbounded)
 
 
 class TestSaddleSolve:
@@ -115,6 +102,38 @@ class TestSaddleSolve:
         out = saddle_solve(problem, 0.05, budget=0)
         assert isinstance(out, ExhaustedOutcome)
 
+    def test_cold_start_duals_certify(self, rng):
+        # Cold start (no warm flow), so the loop and the row scan decide alone.
+        pulled = scanned = 0
+        for i in range(80):
+            n = int(rng.integers(5, 21))
+            g = random_connected_graph(n, int(rng.integers(n, 3 * n)), rng, max_cap=20)
+            res = ResidualView(g, random_feasible_flow(g, rng))
+            s, t = 0, n - 1
+            mf, _, _ = max_flow_exact(res, s, t)
+            tau = max(float(mf) * float(rng.uniform(0.5, 1.5)), 0.05)
+            cuts = build_exhaustive(g) if n <= 10 and i % 2 == 0 else build_multi_tree(g, 4, seed=i)
+            d = st_demand(n, s, t, tau)
+            problem = reduce_problem(g, res, d, cuts)
+            eps = (0.2, 0.1, 0.05)[i % 3]
+            out = saddle_solve(problem, (eps / 4.0) / problem.alpha, budget=(1, 3, 30, 400)[i % 4])
+            if not isinstance(out, DualWitness):
+                continue
+            if np.count_nonzero(out.y) == 1:
+                scanned += 1
+            else:
+                pulled += 1
+            assert np.array_equal(out.potential, problem.scaled_pullback(out.y))
+            assert potential_margin(problem, out.potential) > 0
+            # the margin bounds phi . (d - Bx) from below on all of [0,1]^arcs
+            for _ in range(5):
+                x = rng.uniform(0, 1, g.num_arcs)
+                assert float(out.potential @ (d - problem.operator(x))) > 0
+            cut = threshold_cut(res, out.potential, d, s, t)
+            assert s in cut.side and t not in cut.side
+            assert brute_directed_cut(g.tails, g.heads, res.arc_caps, set(cut.side), n) < tau
+        assert pulled >= 5 and scanned >= 5, (pulled, scanned)
+
     def test_bad_slack_rejected(self):
         g = single_edge(1)
         problem = reduce_problem(g, empty_residual(g), np.zeros(2), build_exhaustive(g))
@@ -123,6 +142,8 @@ class TestSaddleSolve:
 
 
 class TestDualToPotential:
+    """Signed row weights ``y`` pulled back to the potential ``scaled_pullback(y)``."""
+
     def _problem(self):
         g = single_edge(1)
         res = empty_residual(g)
@@ -130,12 +151,9 @@ class TestDualToPotential:
 
     def test_hand_instance(self):
         problem = self._problem()
-        one = np.array([1.0])
-        zero = np.array([0.0])
-        witness = DualWitness(w1=zero, z1=zero, w2=one, z2=zero)
-        phi, branch = dual_to_potential(witness, problem, np.zeros(2))
-        assert branch == "w2-w1"
+        phi = problem.scaled_pullback(np.array([1.0]))
         assert phi[0] > 0 and phi[1] == 0.0
+        assert potential_margin(problem, phi) > 0
         # positive against any feasible congestion vector on the single pair
         for x01 in (0.0, 0.5, 1.0):
             x = np.zeros(2)
@@ -145,19 +163,15 @@ class TestDualToPotential:
 
     def test_zero_weights_rejected(self):
         problem = self._problem()
-        zero = np.array([0.0])
-        witness = DualWitness(w1=zero, z1=zero, w2=zero, z2=zero)
-        with pytest.raises(RuntimeError, match="certify nothing"):
-            dual_to_potential(witness, problem, np.zeros(2))
+        phi = problem.scaled_pullback(np.array([0.0]))
+        assert potential_margin(problem, phi) == 0.0
+        assert not _margin_ok(problem, phi)
 
     def test_positive_scaling_invariance(self):
         problem = self._problem()
-        one = np.array([1.0])
-        zero = np.array([0.0])
         for scale in (0.25, 1.0, 17.0):
-            witness = DualWitness(w1=zero, z1=zero, w2=scale * one, z2=zero)
-            phi, branch = dual_to_potential(witness, problem, np.zeros(2))
-            assert branch == "w2-w1"
+            phi = problem.scaled_pullback(np.array([scale]))
+            assert potential_margin(problem, phi) > 0
             cut = threshold_cut(problem.residual, phi, problem.demand, 0, 1)
             assert cut.side == frozenset({0})
 
@@ -294,14 +308,6 @@ class TestFlowOrCut:
         else:
             assert a.cut.side == b.cut.side
 
-    def test_trace_rows(self):
-        g = single_edge(5)
-        trace = []
-        flow_or_cut(g, empty_residual(g), 0, 1, tau=3.0, eps=0.1, cuts=build_exhaustive(g), trace=trace)
-        # warm start satisfies the slack immediately; dual traces carry margins
-        for row in trace:
-            assert len(row) == 3 and row[0] >= 1
-
 
 class TestSalvage:
     def test_one_round_budget_salvages_the_warm_start_min_cut(self, rng):
@@ -404,34 +410,32 @@ class TestLazyCutMatrix:
 
 class TestRowScan:
     def test_forward_branch_single_row_witness(self):
-        from faircut.flowcut import _scan_rows
-
         g = CapacitatedGraph(3, [(0, 1, 2), (1, 2, 1)])
         res = empty_residual(g)
         d = st_demand(3, 0, 2, 5.0)  # above every cut
         problem = reduce_problem(g, res, d, build_exhaustive(g))
         witness = _scan_rows(problem, iterations=1)
-        assert witness is not None and witness.branch == "w2-w1"
-        nonzero = sum(int(np.count_nonzero(b)) for b in (witness.w1, witness.z1, witness.w2, witness.z2))
-        assert nonzero == 1
+        assert witness is not None
+        assert np.count_nonzero(witness.y) == 1 and witness.y.max() == 1.0
+        assert np.array_equal(witness.potential, problem.scaled_pullback(witness.y))
         cut = threshold_cut(res, witness.potential, d, 0, 2)
         assert 0 in cut.side and 2 not in cut.side
         # a one-row witness is valid against every congestion vector: the
         # row's residual boundary can never carry the demanded excess
+        gen = np.random.default_rng(1)
         for _ in range(10):
-            x = np.random.default_rng(nonzero).uniform(0, 1, g.num_arcs)
+            x = gen.uniform(0, 1, g.num_arcs)
             resid = d - problem.operator(x)
             assert float(witness.potential @ resid) > 0
 
     def test_backward_branch_uses_negated_row(self):
-        from faircut.flowcut import _scan_rows
-
         g = CapacitatedGraph(3, [(0, 1, 2), (1, 2, 1)])
         res = empty_residual(g)
         d = st_demand(3, 2, 0, 5.0)  # reversed terminals; rows anchor vertex 0
         problem = reduce_problem(g, res, d, build_exhaustive(g))
         witness = _scan_rows(problem, iterations=1)
         assert witness is not None
-        assert np.count_nonzero(witness.w1) == 1 and np.count_nonzero(witness.w2) == 0
+        assert np.count_nonzero(witness.y) == 1 and witness.y.min() == -1.0
+        assert np.array_equal(witness.potential, problem.scaled_pullback(witness.y))
         cut = threshold_cut(res, witness.potential, d, 2, 0)
         assert 2 in cut.side and 0 not in cut.side

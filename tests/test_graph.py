@@ -244,6 +244,28 @@ def test_components_match_bfs(state):
         assert len(set(labels.tolist())) == len(parts)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_induced_edges_map_back(state):
+    gen = np.random.default_rng(state)
+    n = int(gen.integers(2, 13))
+    pairs = gen.integers(0, n, size=(int(gen.integers(0, 3 * n + 1)), 2))
+    g = CapacitatedGraph(n, [(int(u), int(v), int(gen.integers(1, 10))) for u, v in pairs if u != v])
+    vertices = [int(v) for v in np.flatnonzero(gen.random(n) < 0.7)] or [0]
+    for active in (None, gen.random(g.m) < 0.6):
+        sub, keep, kept_edges = g.induced(vertices, active_edges=active)
+        assert keep.tolist() == sorted(set(vertices))
+        # Each subgraph edge is its parent edge: same endpoints, same capacity.
+        for j, e in enumerate(kept_edges.tolist()):
+            assert (int(keep[sub.us[j]]), int(keep[sub.vs[j]])) == (int(g.us[e]), int(g.vs[e]))
+            assert int(sub.caps[j]) == int(g.caps[e])
+        # The kept edges are exactly the active edges with both ends kept.
+        inside = set(keep.tolist())
+        expected = [e for e in range(g.m) if (active is None or active[e])
+                    and int(g.us[e]) in inside and int(g.vs[e]) in inside]
+        assert kept_edges.tolist() == expected
+
+
 def test_st_demand_sums_to_zero():
     d = st_demand(5, 0, 4, 2.5)
     assert d.sum() == 0.0 and d[0] == 2.5 and d[4] == -2.5
