@@ -1,25 +1,26 @@
 """Congestion estimators as explicit matrices of normalized cut rows.
 
-A :class:`CutMatrix` holds rows ``(S_r, 1 / c(dS_r))``.  Applying it to a
-demand gives, per row, the demand crossing the cut divided by the cut's
-capacity; the max absolute entry is a lower bound on the congestion any
-routing of that demand must incur.  How tight the upper side is depends on
-the builder:
+A :class:`CutMatrix` holds rows ``(S_r, 1 / c(dS_r))`` as one sparse 0/1
+indicator (rows x vertices, CSR, each row's vertex ids ascending) and a
+weight per row.  Applying it to a demand gives, per row, the demand
+crossing the cut divided by the cut's capacity; the max absolute entry is a
+lower bound on the congestion any routing of that demand must incur.  How
+tight the upper side is depends on the builder:
 
 * ``build_exhaustive`` enumerates every cut through an anchor vertex, so
   the estimate is exact (factor 1) at small n.
 * ``build_tree`` uses the fundamental cuts of a maximum-capacity spanning
   tree.  Routing along the tree certifies a computable upper-bound factor
   (``alpha_bound``): the worst ratio of fundamental-cut capacity to tree
-  edge capacity.
+  edge capacity.  Each subtree is a contiguous preorder interval, so all
+  rows are gathered with one index.
 * ``build_multi_tree`` unions several randomized trees, which can only
   shrink both the measured and the certified factor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,7 +40,12 @@ __all__ = [
 EXHAUSTIVE_VERTEX_LIMIT = 20
 
 
-@dataclass
+def _csr(indices: np.ndarray, indptr: np.ndarray, n: int) -> sp.csr_matrix:
+    """0/1 indicator with the given member lists (rows x n)."""
+    data = np.ones(len(indices), dtype=np.float64)
+    return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, n))
+
+
 class CutMatrix:
     """Rows of normalized cuts on a fixed graph.
 
@@ -48,45 +54,46 @@ class CutMatrix:
 
     Attributes:
         n: vertex count of the underlying graph.
-        rows: per row, the sorted vertex ids of the cut side.
+        indicator: sparse 0/1 membership matrix (rows x vertices, CSR), the
+            only stored form of the rows.
         weights: per row, the exact reciprocal of the undirected cut value.
         kind: builder descriptor, e.g. ``"exhaustive"`` or ``"multitree:8"``.
         alpha_bound: certified upper-bound factor (estimate * alpha_bound
             >= true optimal congestion); ``inf`` when no bound is known.
     """
 
-    n: int
-    rows: list[np.ndarray]
-    weights: np.ndarray
-    kind: str = "custom"
-    alpha_bound: float = float("inf")
-    _indicator: Optional[sp.csr_matrix] = field(default=None, repr=False, compare=False)
-    _indicator_t: Optional[sp.csc_matrix] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if len(self.rows) != len(self.weights):
+    def __init__(
+        self,
+        n: int,
+        rows: Union[sp.csr_matrix, Sequence[np.ndarray]],
+        weights: np.ndarray,
+        kind: str = "custom",
+        alpha_bound: float = float("inf"),
+    ) -> None:
+        """``rows`` is the indicator itself or one vertex-id array per row."""
+        if not sp.issparse(rows):
+            indptr = np.cumsum([0] + [len(r) for r in rows])
+            rows = _csr(np.concatenate([np.zeros(0, dtype=np.int64), *rows]), indptr, n)
+        self.n = n
+        self.indicator = rows
+        self.weights = np.asarray(weights, dtype=np.float64)
+        self.kind = kind
+        self.alpha_bound = alpha_bound
+        self._indicator_t: Optional[sp.csc_matrix] = None
+        if rows.shape[0] != len(self.weights):
             raise ValueError("row/weight count mismatch")
         if self.weights.size and (not np.all(np.isfinite(self.weights)) or self.weights.min() <= 0):
             raise ValueError("every row weight must be a finite positive reciprocal")
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return self.indicator.shape[0]
 
     @property
-    def indicator(self) -> sp.csr_matrix:
-        """Sparse 0/1 membership matrix (rows x vertices)."""
-        if self._indicator is None:
-            if self.rows:
-                indices = np.concatenate(self.rows)
-                indptr = np.zeros(len(self.rows) + 1, dtype=np.int64)
-                indptr[1:] = np.cumsum([len(r) for r in self.rows])
-                data = np.ones(len(indices), dtype=np.float64)
-                self._indicator = sp.csr_matrix((data, indices, indptr), shape=(len(self.rows), self.n))
-            else:
-                self._indicator = sp.csr_matrix((0, self.n), dtype=np.float64)
-        return self._indicator
+    def rows(self) -> list[np.ndarray]:
+        """Per row, the vertex ids of the cut side (derived on each call)."""
+        members, ptr = self.indicator.indices.astype(np.int64), self.indicator.indptr.tolist()
+        return [members[a:b] for a, b in zip(ptr, ptr[1:])]
 
     def apply(self, d: np.ndarray) -> np.ndarray:
         """Per row: weight * (demand inside the cut side)."""
@@ -95,7 +102,7 @@ class CutMatrix:
 
     def estimate(self, d: np.ndarray) -> float:
         """Max-norm of :meth:`apply`: the congestion lower bound for d."""
-        if not self.rows:
+        if not self.row_count:
             return 0.0
         return float(np.max(np.abs(self.apply(d))))
 
@@ -154,20 +161,18 @@ def build_exhaustive(g: CapacitatedGraph) -> CutMatrix:
         raise ValueError("need at least two vertices")
     count = (1 << (n - 1)) - 1
     # Subsets containing vertex 0: masks 1 | (k << 1) for k in [0, 2^(n-1)-1),
-    # excluding the full vertex set.
-    ks = np.arange(count, dtype=np.int64)
-    masks = 1 | (ks << 1)
+    # excluding the full vertex set.  Row r's members are the set bits of
+    # mask r, so the nonzeros of the bit matrix are the sorted rows in order.
+    masks = 1 | (np.arange(count, dtype=np.int64) << 1)
+    bits = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
     caps = np.zeros(count, dtype=np.float64)
     for u, v, c in zip(g.us, g.vs, g.caps):
-        crossing = ((masks >> int(u)) & 1) != ((masks >> int(v)) & 1)
-        caps[crossing] += float(c)
+        caps[bits[:, u] != bits[:, v]] += float(c)
     if caps.size and caps.min() <= 0:
         raise ValueError("graph is disconnected; some enumerated cut has zero capacity")
-    rows = []
-    for mask in masks:
-        members = [v for v in range(n) if (int(mask) >> v) & 1]
-        rows.append(np.asarray(members, dtype=np.int64))
-    return CutMatrix(n=n, rows=rows, weights=1.0 / caps, kind="exhaustive", alpha_bound=1.0)
+    indptr = np.concatenate(([0], np.cumsum(bits.sum(axis=1))))
+    indicator = _csr(np.nonzero(bits)[1], indptr, n)
+    return CutMatrix(n, indicator, 1.0 / caps, kind="exhaustive", alpha_bound=1.0)
 
 
 def _spanning_tree(g: CapacitatedGraph, seed: Optional[int]) -> np.ndarray:
@@ -188,79 +193,86 @@ def _spanning_tree(g: CapacitatedGraph, seed: Optional[int]) -> np.ndarray:
     return np.asarray(sorted(chosen), dtype=np.int64)
 
 
+def _common_ancestors(parent: np.ndarray, depth: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per pair ``(a[i], b[i])``, the deepest common ancestor, by binary lifting.
+
+    ``parent`` maps the root to itself.
+    """
+    jumps = [parent]
+    for _ in range(1, max(1, int(depth.max()).bit_length())):
+        jumps.append(jumps[-1][jumps[-1]])
+    deeper = depth[a] >= depth[b]
+    a, b = np.where(deeper, a, b), np.where(deeper, b, a)
+    rise = depth[a] - depth[b]
+    for j, up in enumerate(jumps):
+        a = np.where((rise >> j) & 1, up[a], a)
+    for up in reversed(jumps):
+        ua, ub = up[a], up[b]
+        split = ua != ub
+        a, b = np.where(split, ua, a), np.where(split, ub, b)
+    return np.where(a == b, a, parent[a])
+
+
 def _tree_rows(g: CapacitatedGraph, tree_edges: np.ndarray):
     """Fundamental-cut rows of a spanning tree, with exact crossing capacities.
 
     Roots the tree at vertex 0.  For each non-root vertex v the row is the
-    vertex set of v's subtree; its crossing capacity is computed for all
+    vertex set of v's subtree: the preorder slice from v to ``tout[v]``.
+    Rows come in preorder of v.  Crossing capacities are computed for all
     rows at once with a subtree-sum identity:
 
         crossing(S_v) = sum over x in S_v of weighted_degree(x)
                         - 2 * sum of capacities of edges whose deepest
                           common ancestor lies in S_v.
+
+    Returns the sorted CSR indicator of the rows, their crossing
+    capacities, and the worst crossing to tree-edge capacity ratio.
     """
     n = g.n
+    us, vs = g.us.tolist(), g.vs.tolist()
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e in tree_edges:
-        u, v = int(g.us[e]), int(g.vs[e])
-        adj[u].append((v, int(e)))
-        adj[v].append((u, int(e)))
+    for e in tree_edges.tolist():
+        adj[us[e]].append((vs[e], e))
+        adj[vs[e]].append((us[e], e))
 
-    parent = np.full(n, -1, dtype=np.int64)
-    parent_edge = np.full(n, -1, dtype=np.int64)
-    depth = np.zeros(n, dtype=np.int64)
-    preorder = np.zeros(n, dtype=np.int64)
-    tin = np.zeros(n, dtype=np.int64)
-    tout = np.zeros(n, dtype=np.int64)
-    timer = 0
+    parent, parent_edge, depth = [0] * n, [-1] * n, [0] * n
+    preorder: list[int] = []
+    tout = [0] * n
     stack = [(0, -1, False)]
     while stack:
         v, p, done = stack.pop()
         if done:
-            tout[v] = timer
+            tout[v] = len(preorder)
             continue
-        parent[v] = p
-        tin[v] = timer
-        preorder[timer] = v
-        timer += 1
+        preorder.append(v)
         stack.append((v, p, True))
         for w, e in adj[v]:
             if w != p:
-                depth[w] = depth[v] + 1
-                parent_edge[w] = e
+                parent[w], parent_edge[w], depth[w] = v, e, depth[v] + 1
                 stack.append((w, v, False))
 
-    # Deepest common ancestor of each graph edge's endpoints, by walking the
-    # deeper endpoint up.  Paths are short at desk scale; memoization via
-    # jump pointers is unnecessary here.
-    weighted_degree = np.zeros(n, dtype=np.float64)
-    np.add.at(weighted_degree, g.us, g.caps.astype(np.float64))
-    np.add.at(weighted_degree, g.vs, g.caps.astype(np.float64))
-    load = weighted_degree.copy()
-    for e in range(g.m):
-        a, b = int(g.us[e]), int(g.vs[e])
-        while a != b:
-            if depth[a] < depth[b]:
-                a, b = b, a
-            a = int(parent[a])
-        load[a] -= 2.0 * float(g.caps[e])
-
-    subtree_sum = load.copy()
-    for i in range(n - 1, 0, -1):
-        v = int(preorder[i])
+    caps = g.caps.astype(np.float64)
+    # Per vertex: weighted degree, less twice each edge whose endpoints'
+    # deepest common ancestor it is (edge order, as the identity sums them).
+    load = np.zeros(n, dtype=np.float64)
+    np.add.at(load, g.us, caps)
+    np.add.at(load, g.vs, caps)
+    np.subtract.at(load, _common_ancestors(np.asarray(parent), np.asarray(depth), g.us, g.vs), 2.0 * caps)
+    subtree_sum = load.tolist()
+    for v in reversed(preorder[1:]):
         subtree_sum[parent[v]] += subtree_sum[v]
 
-    rows, caps, stretch = [], [], 0.0
-    for v in range(1, n):
-        members = np.sort(preorder[tin[v] : tout[v]])
-        crossing = float(subtree_sum[v])
-        rows.append(members)
-        caps.append(crossing)
-        stretch = max(stretch, crossing / float(g.caps[parent_edge[v]]))
-    order = np.argsort(tin[1:], kind="stable")  # deterministic row order by subtree root
-    rows = [rows[i] for i in order]
-    caps = np.asarray(caps, dtype=np.float64)[order]
-    return rows, caps, stretch
+    order = np.asarray(preorder, dtype=np.int64)
+    row_roots = order[1:]
+    crossing = np.asarray(subtree_sum, dtype=np.float64)[row_roots]
+    stretch = float(np.max(crossing / caps[np.asarray(parent_edge)[row_roots]], initial=0.0))
+    # Row i is the preorder slice [i + 1, tout[row_roots[i]]).
+    sizes = np.asarray(tout, dtype=np.int64)[row_roots] - np.arange(1, n)
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    slots = np.arange(indptr[-1]) - np.repeat(indptr[:-1] - np.arange(1, n), sizes)
+    indicator = _csr(order[slots], indptr, n)
+    indicator.sort_indices()
+    return indicator, crossing, stretch
 
 
 def build_tree(g: CapacitatedGraph, seed: Optional[int] = None) -> CutMatrix:
@@ -274,42 +286,42 @@ def build_tree(g: CapacitatedGraph, seed: Optional[int] = None) -> CutMatrix:
         ValueError: when the graph is disconnected (names stranded vertices).
     """
     tree_edges = _spanning_tree(g, seed)
-    rows, caps, stretch = _tree_rows(g, tree_edges)
+    indicator, caps, stretch = _tree_rows(g, tree_edges)
     if caps.size and caps.min() <= 0:
         raise ValueError("fundamental cut with zero capacity; graph must be connected")
     return CutMatrix(
-        n=g.n,
-        rows=rows,
-        weights=1.0 / caps,
+        g.n,
+        indicator,
+        1.0 / caps,
         kind="tree" if seed is None else f"tree@{seed}",
         alpha_bound=max(1.0, stretch),
     )
 
 
 def build_multi_tree(g: CapacitatedGraph, k: int, seed: int = 0) -> CutMatrix:
-    """Union of k randomized tree matrices with duplicate rows removed."""
+    """Union of k randomized tree matrices with duplicate rows removed.
+
+    Rows keep member order; of equal vertex sets only the first is kept.
+    """
     if k < 1:
         raise ValueError(f"member count must be at least 1, got {k}")
-    rows: list[np.ndarray] = []
-    weights: list[float] = []
-    seen: set[tuple[int, ...]] = set()
-    bound = float("inf")
-    for j in range(k):
-        member = build_tree(g, seed + j)
-        bound = min(bound, member.alpha_bound)
-        for row, w in zip(member.rows, member.weights):
-            key = tuple(int(v) for v in row)
-            if key in seen:
-                continue
-            seen.add(key)
-            rows.append(row)
-            weights.append(float(w))
+    members = [build_tree(g, seed + j) for j in range(k)]
+    indices = np.concatenate([m.indicator.indices for m in members])
+    lengths = np.concatenate([np.diff(m.indicator.indptr) for m in members])
+    weights = np.concatenate([m.weights for m in members])
+    # Member rows are sorted, so equal vertex sets have equal bytes.  Filling
+    # the dict from the last row back leaves each key at its first row.
+    raw, bounds = indices.tobytes(), (np.cumsum(lengths) * indices.itemsize).tolist()
+    keys = [raw[a:b] for a, b in zip([0] + bounds[:-1], bounds)]
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    keep = np.zeros(len(keys), dtype=bool)
+    keep[list(first.values())] = True
     return CutMatrix(
-        n=g.n,
-        rows=rows,
-        weights=np.asarray(weights, dtype=np.float64),
+        g.n,
+        _csr(indices[np.repeat(keep, lengths)], np.concatenate(([0], np.cumsum(lengths[keep]))), g.n),
+        weights[keep],
         kind=f"multitree:{k}",
-        alpha_bound=bound,
+        alpha_bound=min(m.alpha_bound for m in members),
     )
 
 

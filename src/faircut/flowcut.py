@@ -229,7 +229,9 @@ def saddle_solve(
 
     Returns:
         PrimalCertificate, DualWitness, or ExhaustedOutcome when the budget
-        expires with neither.
+        expires with neither.  The best primal point is checked once more
+        after the last round, so an average that meets the slack there is a
+        PrimalCertificate with ``iterations == budget``.
     """
     if not (0.0 < eps_over_alpha < 1.0):
         raise ValueError(f"slack must lie in (0, 1), got {eps_over_alpha}")
@@ -284,6 +286,8 @@ def saddle_solve(
             best_gap, best_x = gap, xbar.copy()
         x_play = x_t
 
+    if best_gap <= eps_over_alpha:
+        return PrimalCertificate(best_x, best_gap, budget)
     avg = weight_sum / budget
     return ExhaustedOutcome(avg[1] - avg[0], best_x, best_gap, budget)
 

@@ -94,6 +94,48 @@ def reference_kruskal(n: int, us, vs, keys) -> set[int]:
     return chosen
 
 
+def reference_tree_rows(g: CapacitatedGraph, tree_edges) -> tuple[list[tuple[int, ...]], list[float], float]:
+    """Fundamental cuts of a spanning tree rooted at 0, recomputed from scratch.
+
+    One row per non-root vertex v, in preorder, where each vertex's children
+    are visited in decreasing tree-edge id.  The row is v's subtree, collected
+    by BFS over the tree edges away from the root; its crossing capacity
+    scans every graph edge.  Returns the rows as sorted tuples, their
+    crossings, and the worst crossing to parent-edge capacity ratio (0 when
+    there are no rows).
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for e in sorted(int(e) for e in tree_edges):
+        adj[int(g.us[e])].append((int(g.vs[e]), e))
+        adj[int(g.vs[e])].append((int(g.us[e]), e))
+    parent, parent_edge, frontier = {0: -1}, {}, [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w, e in adj[u]:
+                if w not in parent:
+                    parent[w], parent_edge[w] = u, e
+                    nxt.append(w)
+        frontier = nxt
+    preorder, stack = [], [0]
+    while stack:
+        v = stack.pop()
+        preorder.append(v)
+        children = [(e, w) for w, e in adj[v] if parent.get(w) == v]
+        stack.extend(w for _, w in sorted(children))  # last pushed (largest id) pops first
+    rows, crossings, stretch = [], [], 0.0
+    for v in preorder[1:]:
+        side, frontier = {v}, [v]
+        while frontier:
+            frontier = [w for u in frontier for w, _ in adj[u] if w != parent[u] and w not in side]
+            side.update(frontier)
+        crossing = sum(float(c) for a, b, c in zip(g.us, g.vs, g.caps) if (int(a) in side) != (int(b) in side))
+        rows.append(tuple(sorted(side)))
+        crossings.append(crossing)
+        stretch = max(stretch, crossing / float(g.caps[parent_edge[v]]))
+    return rows, crossings, stretch
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faircut.approximator import (
+    CutMatrix,
     _spanning_tree,
     build_exhaustive,
     build_multi_tree,
@@ -24,7 +25,7 @@ from faircut.graph import (
 from faircut.generators import random_connected_graph, random_feasible_flow
 from faircut.oracles import min_congestion_routing
 
-from conftest import bfs_components, brute_opt_congestion, reference_kruskal, small_graph
+from conftest import bfs_components, brute_opt_congestion, reference_kruskal, reference_tree_rows, small_graph
 
 
 class TestApply:
@@ -67,6 +68,26 @@ class TestApply:
         assert np.array_equal(cuts.pullback(y), first)
         assert np.array_equal(first, cuts.indicator.T @ (cuts.weights * y))
         assert float(y @ cuts.apply(d)) == pytest.approx(float(first @ d), rel=1e-12, abs=1e-12)
+
+
+class TestCutMatrix:
+    def test_hand_built_rows(self):
+        cuts = CutMatrix(3, [np.array([0]), np.array([0, 2])], np.array([0.5, 0.25]))
+        assert cuts.row_count == 2
+        assert [r.tolist() for r in cuts.rows] == [[0], [0, 2]]
+        assert cuts.indicator.toarray().tolist() == [[1, 0, 0], [1, 0, 1]]
+        again = CutMatrix(3, cuts.indicator, cuts.weights)
+        assert [r.tolist() for r in again.rows] == [[0], [0, 2]]
+        assert np.array_equal(again.apply(np.array([1.0, 2.0, 3.0])), [0.5, 1.0])
+
+    def test_no_rows(self):
+        cuts = CutMatrix(3, [], np.zeros(0))
+        assert cuts.row_count == 0 and cuts.rows == [] and cuts.indicator.shape == (0, 3)
+        assert cuts.estimate(np.array([1.0, 0.0, -1.0])) == 0.0
+
+    def test_row_weight_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            CutMatrix(3, [np.array([0])], np.array([0.5, 0.5]))
 
 
 class TestBuildExhaustive:
@@ -226,6 +247,77 @@ def test_spanning_tree_matches_reference_kruskal(state, seed):
             _spanning_tree(g, seed)
     else:
         assert set(_spanning_tree(g, seed).tolist()) == reference_kruskal(g.n, g.us, g.vs, keys)
+
+
+def _deep_graph(gen: np.random.Generator) -> CapacitatedGraph:
+    """A path, a grid or a sparse random graph, plus a few chords, capacities 1 or 2.
+
+    Paths and narrow grids give deep spanning trees; the two capacities give
+    many ties.  Vertex labels are shuffled so the root sits anywhere.
+    """
+    n = int(gen.integers(2, 41))
+    shape = int(gen.integers(3))
+    if shape == 2:
+        g = random_connected_graph(n, int(gen.integers(n - 1, 2 * n)), gen, max_cap=2)
+        edges = [(u, v) for u, v, _ in g.edge_list()]
+    else:
+        width = n if shape == 0 else int(gen.integers(1, 7))
+        edges = [(v, v + 1) for v in range(n - 1) if (v + 1) % width]
+        edges += [(v, v + width) for v in range(n - width)]
+    for _ in range(int(gen.integers(0, 4))):
+        u, v = gen.choice(n, size=2, replace=False)
+        edges.append((int(u), int(v)))
+    label = gen.permutation(n)
+    return CapacitatedGraph(n, [(int(label[u]), int(label[v]), int(gen.integers(1, 3))) for u, v in edges])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 2**31))
+def test_tree_rows_match_reference(state, k, seed):
+    g = _deep_graph(np.random.default_rng(state))
+    unseeded = build_tree(g)
+    rows, crossings, stretch = reference_tree_rows(g, _spanning_tree(g, None))
+    assert [tuple(r) for r in unseeded.rows] == rows
+    np.testing.assert_allclose(unseeded.weights, 1.0 / np.asarray(crossings), rtol=1e-12, atol=0)
+    assert unseeded.alpha_bound == pytest.approx(max(1.0, stretch), rel=1e-12)
+
+    first: dict[tuple, float] = {}  # every distinct row, at its first occurrence over the members
+    bound = float("inf")
+    for j in range(k):
+        member = build_tree(g, seed + j)
+        rows, crossings, stretch = reference_tree_rows(g, _spanning_tree(g, seed + j))
+        assert [tuple(r) for r in member.rows] == rows
+        np.testing.assert_allclose(member.weights, 1.0 / np.asarray(crossings), rtol=1e-12, atol=0)
+        assert member.alpha_bound == pytest.approx(max(1.0, stretch), rel=1e-12)
+        assert member.kind == f"tree@{seed + j}"
+        bound = min(bound, max(1.0, stretch))
+        for row, crossing in zip(rows, crossings):
+            first.setdefault(row, 1.0 / crossing)
+    multi = build_multi_tree(g, k, seed)
+    assert [tuple(r) for r in multi.rows] == list(first)
+    np.testing.assert_allclose(multi.weights, list(first.values()), rtol=1e-12, atol=0)
+    assert multi.alpha_bound == pytest.approx(bound, rel=1e-12)
+    assert multi.kind == f"multitree:{k}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12))
+def test_exhaustive_rows_are_every_subset_through_zero(state, n):
+    gen = np.random.default_rng(state)
+    g = random_connected_graph(n, int(gen.integers(n - 1, n * (n - 1) // 2 + 1)), gen, max_cap=3)
+    cuts = build_exhaustive(g)
+    # Odd masks in increasing order, without the full vertex set.
+    sides = [[v for v in range(n) if (mask >> v) & 1] for mask in range(1, (1 << n) - 1, 2)]
+    indicator = cuts.indicator
+    assert indicator.shape == (len(sides), n)
+    assert indicator.indptr.tolist() == np.cumsum([0] + [len(side) for side in sides]).tolist()
+    assert indicator.indices.tolist() == [v for side in sides for v in side]
+    assert np.all(indicator.data == 1.0)
+    crossings = [
+        sum(float(c) for a, b, c in zip(g.us, g.vs, g.caps) if (int(a) in side) != (int(b) in side))
+        for side in map(set, sides)
+    ]
+    np.testing.assert_allclose(cuts.weights, 1.0 / np.asarray(crossings), rtol=1e-12, atol=0)
 
 
 def test_resolve_builder_descriptors(rng):

@@ -102,6 +102,32 @@ class TestSaddleSolve:
         out = saddle_solve(problem, 0.05, budget=0)
         assert isinstance(out, ExhaustedOutcome)
 
+    def test_gap_met_in_the_last_round_is_primal(self):
+        # Cold start on routable demands (tau <= max-flow): an average that
+        # meets the slack in the budget's last round must not be reported
+        # as exhausted.  Calls 36, 44 and 60 hit that round at budget 30.
+        at_budget = 0
+        for i in range(64):
+            rng = np.random.default_rng(i)
+            n = int(rng.integers(5, 40))
+            g = random_connected_graph(n, int(rng.integers(n, 3 * n)), rng, max_cap=20)
+            res = ResidualView(g, random_feasible_flow(g, rng))
+            mf, _, _ = max_flow_exact(res, 0, n - 1)
+            if mf <= 0:
+                continue
+            tau = float(mf) * float(rng.uniform(0.3, 1.0))
+            cuts = build_exhaustive(g) if n <= 10 else build_multi_tree(g, 4, seed=i)
+            problem = reduce_problem(g, res, st_demand(n, 0, n - 1, tau), cuts)
+            slack = (0.1 / 4.0) / problem.alpha
+            for budget in (1, 3, 30):
+                out = saddle_solve(problem, slack, budget)
+                if isinstance(out, ExhaustedOutcome):
+                    assert out.best_gap > slack, (i, budget)
+                if isinstance(out, PrimalCertificate):
+                    assert out.gap <= slack and out.gap == problem.primal_gap(out.x)
+                    at_budget += out.iterations == budget
+        assert at_budget >= 3
+
     def test_cold_start_duals_certify(self, rng):
         # Cold start (no warm flow), so the loop and the row scan decide alone.
         pulled = scanned = 0
