@@ -40,13 +40,11 @@ from .graph import (
     CapacitatedGraph,
     FlowAssignment,
     ResidualView,
-    SubgraphMask,
     VertexCut,
     add_flows,
     directed_cut_value,
     divergence,
     net_flow_across,
-    residual_view,
     st_demand,
     undirected_cut_value,
 )

@@ -1,10 +1,14 @@
 """Iterative fair-cut driver.
 
-Maintains a cut and a cumulative flow.  Each iteration removes the cut
-edges already near-saturated in the outgoing direction, asks the flow-or-
-cut primitive about the residual of the remaining graph at half the
+Maintains a cut and a cumulative flow, both on the one input graph that
+every round works on.  Each iteration masks out the cut edges already
+near-saturated in the outgoing direction, asks the flow-or-cut primitive
+about the residual of the input graph on the remaining edges at half the
 current boundary potential, and then either grows the flow or replaces the
-cut by the better of union/intersection with the returned one.  The
+cut by the better of union/intersection with the returned one.  Edges
+outside s's component of the remaining edges are masked too, so stranded
+vertices carry no residual capacity; only the cut matrix is built on that
+component, and its rows are lifted back to the input's vertex ids.  The
 boundary potential contracts by at least one quarter per certified
 iteration, so the loop needs only logarithmically many rounds before every
 outgoing cut arc is near-saturated; the achieved fairness of the final cut
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from .approximator import CutMatrix, resolve_builder
 from .flowcut import FlowResult, SolverExhausted, flow_or_cut
@@ -26,7 +31,6 @@ from .graph import (
     CapacitatedGraph,
     FlowAssignment,
     ResidualView,
-    SubgraphMask,
     VertexCut,
     add_flows,
     directed_cut_value,
@@ -79,8 +83,6 @@ class IterationState:
     index: int
     cut: VertexCut
     flow: FlowAssignment
-    unsaturated: np.ndarray
-    mask: SubgraphMask
     residual: ResidualView
     potential_value: float
 
@@ -102,6 +104,16 @@ class FairCutResult:
     final_potential: float
 
 
+def _crossing_arcs(
+    graph: CapacitatedGraph, flow: FlowAssignment, cut: VertexCut, eps: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outgoing cut arcs, and per arc whether its flow is at most ``(1 - 4*eps) * capacity``."""
+    mask = cut.member_mask(graph.n)
+    crossing = np.nonzero(mask[graph.tails] & ~mask[graph.heads])[0]
+    limit = (1.0 - SATURATION_MARGIN * eps) * graph.arc_caps[crossing] + graph.tolerance
+    return crossing, flow.values[crossing] <= limit
+
+
 def unsaturated_arcs(
     graph: CapacitatedGraph, flow: FlowAssignment, cut: VertexCut, eps: float
 ) -> np.ndarray:
@@ -109,29 +121,23 @@ def unsaturated_arcs(
 
     The comparison is inclusive at exact equality (tolerance eta).
     """
-    mask = cut.member_mask(graph.n)
-    crossing = np.nonzero(mask[graph.tails] & ~mask[graph.heads])[0]
-    limit = (1.0 - SATURATION_MARGIN * eps) * graph.arc_caps[crossing] + graph.tolerance
-    return crossing[flow.values[crossing] <= limit]
+    crossing, unsaturated = _crossing_arcs(graph, flow, cut, eps)
+    return crossing[unsaturated]
 
 
 def _make_state(
     graph: CapacitatedGraph, cut: VertexCut, flow: FlowAssignment, eps: float, index: int
 ) -> IterationState:
-    unsat = unsaturated_arcs(graph, flow, cut, eps)
-    mask_arr = cut.member_mask(graph.n)
-    crossing = np.nonzero(mask_arr[graph.tails] & ~mask_arr[graph.heads])[0]
-    saturated = np.setdiff1d(crossing, unsat, assume_unique=True)
-    removed = frozenset(int(graph.edge_of_arc(a)) for a in saturated)
-    mask = SubgraphMask(removed)
-    residual = ResidualView(graph, flow, mask)
+    """The state whose residual masks out every saturated outgoing cut edge."""
+    crossing, unsaturated = _crossing_arcs(graph, flow, cut, eps)
+    active = np.ones(graph.m, dtype=bool)
+    active[graph.edge_of_arc(crossing[~unsaturated])] = False
+    residual = ResidualView(graph, flow, active)
     potential = directed_cut_value(residual, cut)
     return IterationState(
         index=index,
         cut=cut,
         flow=flow,
-        unsaturated=unsat,
-        mask=mask,
         residual=residual,
         potential_value=potential,
     )
@@ -147,6 +153,21 @@ def _uncross(state: IterationState, x_cut: VertexCut) -> VertexCut:
     return union if v_union < v_inter else inter
 
 
+def _component_matrix(
+    graph: CapacitatedGraph, in_comp: np.ndarray, active: np.ndarray, builder: Builder, seed: Optional[int]
+) -> CutMatrix:
+    """``builder``'s matrix for the subgraph on ``in_comp``, lifted to ``graph``'s vertex ids.
+
+    The kept vertex ids are increasing, so every lifted row stays sorted;
+    when the component is all of V the lift is the identity.
+    """
+    sub, vkeep, _ = graph.induced(np.flatnonzero(in_comp), active_edges=active)
+    cuts = builder(sub, seed)
+    rows = cuts.indicator
+    lifted = sp.csr_matrix((rows.data, vkeep[rows.indices], rows.indptr), shape=(rows.shape[0], graph.n))
+    return CutMatrix(graph.n, lifted, cuts.weights, kind=cuts.kind, alpha_bound=cuts.alpha_bound)
+
+
 def iterate_once(
     state: IterationState,
     eps: float,
@@ -157,51 +178,46 @@ def iterate_once(
 ) -> tuple[IterationState, IterationRecord]:
     """One driver round: call the primitive, grow the flow or move the cut.
 
-    The primitive runs on the masked graph restricted to the component
-    containing both endpoints; removed or stranded parts cannot carry flow
-    and never appear in the subproblem.  The cut matrix for that subgraph is
-    built by ``builder`` only if the primitive asks for it (the warm-start
-    max-flow did not reach the threshold), at most once per round.  On
-    budget exhaustion the primitive is retried once with four times the
-    budget, on the same matrix.
+    The primitive runs on the input graph itself, on the unmasked edges of
+    the component containing both endpoints: every other edge, including
+    all edges of stranded vertices, is masked, so it has zero residual
+    capacity and can carry neither flow nor part of a cut's boundary.  The
+    cut matrix is built by ``builder`` on that component's subgraph, and
+    its rows lifted to the input's vertex ids, only if the primitive asks
+    for it (the warm-start max-flow did not reach the threshold), at most
+    once per round.  On budget exhaustion the primitive is retried once
+    with four times the budget, on the same matrix.
     """
     graph = state.graph
     s, t = state.cut.source, state.cut.sink
     tau = THRESHOLD_FACTOR * state.potential_value
     labels = graph.connected_components(active_edges=state.residual.active_edges)
+    in_comp = labels == labels[s]
 
     primal_gap = float("nan")
     if labels[s] != labels[t]:
         # Every remaining path is gone; the endpoint's component is a cut of
         # residual value zero, well under tau.
-        side = frozenset(int(v) for v in np.nonzero(labels == labels[s])[0])
-        x_cut = VertexCut(side, source=s, sink=t)
+        x_cut = VertexCut(frozenset(np.flatnonzero(in_comp).tolist()), source=s, sink=t)
         branch = "cut"
         new_cut, new_flow = _uncross(state, x_cut), state.flow
     else:
-        comp = np.nonzero(labels == labels[s])[0]
-        sub, vkeep, ekeep = graph.induced(comp, active_edges=state.residual.active_edges)
-        remap = -np.ones(graph.n, dtype=np.int64)
-        remap[vkeep] = np.arange(len(vkeep))
-        sub_vals = np.concatenate([state.flow.values[ekeep], state.flow.values[ekeep + graph.m]])
-        sub_flow = FlowAssignment(sub, sub_vals)
-        sub_res = ResidualView(sub, sub_flow)
-        cuts = functools.cache(lambda: builder(sub, seed))
+        active = state.residual.active_edges & in_comp[graph.us]
+        residual = ResidualView(graph, state.flow, active)
+        cuts = functools.cache(lambda: _component_matrix(graph, in_comp, active, builder, seed))
         try:
-            result = flow_or_cut(sub, sub_res, int(remap[s]), int(remap[t]), tau, eps, cuts, budget)
+            result = flow_or_cut(residual, s, t, tau, eps, cuts, budget)
         except SolverExhausted:
-            result = flow_or_cut(sub, sub_res, int(remap[s]), int(remap[t]), tau, eps, cuts, budget * 4)
+            result = flow_or_cut(residual, s, t, tau, eps, cuts, budget * 4)
 
         if isinstance(result, FlowResult):
-            lifted = np.zeros(graph.num_arcs, dtype=np.float64)
-            lifted[ekeep] = result.flow.values[: sub.m]
-            lifted[ekeep + graph.m] = result.flow.values[sub.m :]
             branch = "flow"
             primal_gap = result.primal_gap
-            new_cut, new_flow = state.cut, add_flows(state.flow, FlowAssignment(graph, lifted))
+            new_cut, new_flow = state.cut, add_flows(state.flow, result.flow)
         else:
-            side = frozenset(int(vkeep[v]) for v in result.cut.side)
-            x_cut = VertexCut(side, source=s, sink=t)
+            # A sweep prefix may take in stranded vertices; they add nothing
+            # to its demand or boundary, so the cut is its part in the component.
+            x_cut = VertexCut(frozenset(v for v in result.cut.side if in_comp[v]), source=s, sink=t)
             branch = "cut"
             new_cut, new_flow = _uncross(state, x_cut), state.flow
 

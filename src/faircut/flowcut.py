@@ -1,6 +1,6 @@
 """Flow-or-cut primitive on residual graphs.
 
-Given a base graph, a residual view, vertices ``s, t`` and a threshold
+Given a residual view of a base graph, vertices ``s, t`` and a threshold
 ``tau``, :func:`flow_or_cut` returns either an (s,t)-cut of residual value
 below ``tau`` or a feasible residual flow whose unrouted remainder is
 routable in the base graph with congestion at most ``eps``.
@@ -36,7 +36,6 @@ import numpy as np
 
 from .approximator import CutMatrix, row_boundary_values
 from .graph import (
-    CapacitatedGraph,
     FlowAssignment,
     ResidualView,
     VertexCut,
@@ -87,7 +86,6 @@ class ReducedProblem:
     the cut-matrix estimate may undershoot the true optimal congestion.
     """
 
-    graph: CapacitatedGraph
     residual: ResidualView
     demand: np.ndarray
     cuts: CutMatrix
@@ -95,14 +93,15 @@ class ReducedProblem:
 
     def operator(self, x: np.ndarray) -> np.ndarray:
         """Divergence of the absolute flow ``residual_caps * x``."""
-        vals = self.residual.arc_caps * x
-        out = np.bincount(self.graph.tails, weights=vals, minlength=self.graph.n)
-        inc = np.bincount(self.graph.heads, weights=vals, minlength=self.graph.n)
+        res = self.residual
+        vals = res.arc_caps * x
+        out = np.bincount(res.tails, weights=vals, minlength=res.n)
+        inc = np.bincount(res.heads, weights=vals, minlength=res.n)
         return out - inc
 
     def adjoint(self, phi: np.ndarray) -> np.ndarray:
         """Per arc: ``c'_a * (phi[tail] - phi[head])``."""
-        return self.residual.arc_caps * (phi[self.graph.tails] - phi[self.graph.heads])
+        return self.residual.arc_caps * (phi[self.residual.tails] - phi[self.residual.heads])
 
     def scaled_rows(self, vertex_vec: np.ndarray) -> np.ndarray:
         """Quarter-scaled cut-matrix action (rows have l1 norm <= 1)."""
@@ -117,12 +116,7 @@ class ReducedProblem:
         return float(np.max(np.abs(rows))) if rows.size else 0.0
 
 
-def reduce_problem(
-    graph: CapacitatedGraph,
-    residual: ResidualView,
-    demand: np.ndarray,
-    cuts: CutMatrix,
-) -> ReducedProblem:
+def reduce_problem(residual: ResidualView, demand: np.ndarray, cuts: CutMatrix) -> ReducedProblem:
     """Assemble the scaled row system for a residual view and a demand.
 
     Raises:
@@ -130,19 +124,18 @@ def reduce_problem(
             weights, a mismatched demand length, or a matrix that carries
             no certified ``alpha_bound``.
     """
-    if residual.graph is not graph:
-        raise ValueError("residual view does not belong to the base graph")
+    n = residual.n
     demand = np.asarray(demand, dtype=np.float64)
-    if demand.shape != (graph.n,):
-        raise ValueError(f"demand must have {graph.n} entries")
-    if cuts.n != graph.n:
+    if demand.shape != (n,):
+        raise ValueError(f"demand must have {n} entries")
+    if cuts.n != n:
         raise ValueError("cut matrix was built for a different vertex count")
     if cuts.weights.size and (not np.all(np.isfinite(cuts.weights)) or cuts.weights.min() <= 0):
         raise ValueError("cut matrix contains a zero-capacity row")
     alpha = cuts.alpha_bound
     if not (math.isfinite(alpha) and alpha >= 1):
         raise ValueError("no usable congestion factor: the cut matrix carries no certified bound")
-    return ReducedProblem(graph=graph, residual=residual, demand=demand, cuts=cuts, alpha=float(alpha))
+    return ReducedProblem(residual=residual, demand=demand, cuts=cuts, alpha=float(alpha))
 
 
 @dataclass
@@ -239,7 +232,7 @@ def saddle_solve(
         raise ValueError("budget must be nonnegative")
 
     r = problem.cuts.row_count
-    num_arcs = problem.graph.num_arcs
+    num_arcs = problem.residual.graph.num_arcs
     if x0 is None:
         x0 = np.zeros(num_arcs, dtype=np.float64)
     best_x = x0
@@ -388,7 +381,6 @@ class CutResult:
 
 
 def flow_or_cut(
-    graph: CapacitatedGraph,
     residual: ResidualView,
     s: int,
     t: int,
@@ -423,9 +415,8 @@ def flow_or_cut(
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
     if s == t:
         raise ValueError("source and sink must differ")
-    if residual.graph is not graph:
-        raise ValueError("residual view does not belong to the base graph")
 
+    graph = residual.graph
     maxflow, warm, mincut = max_flow_exact(residual, s, t)
     if maxflow == 0:
         # t is unreachable; the min cut is s's positive-capacity reachable set.
@@ -452,7 +443,7 @@ def flow_or_cut(
 
     if not isinstance(cuts, CutMatrix):
         cuts = cuts()
-    problem = reduce_problem(graph, residual, demand, cuts)
+    problem = reduce_problem(residual, demand, cuts)
     slack = (eps / EPSILON_SHRINK) / problem.alpha
     outcome = saddle_solve(problem, slack, budget, x0=x0)
 

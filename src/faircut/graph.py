@@ -27,13 +27,11 @@ __all__ = [
     "CapacitatedGraph",
     "FlowAssignment",
     "ResidualView",
-    "SubgraphMask",
     "VertexCut",
     "add_flows",
     "directed_cut_value",
     "divergence",
     "net_flow_across",
-    "residual_view",
     "st_demand",
     "undirected_cut_value",
 ]
@@ -190,7 +188,8 @@ class CapacitatedGraph:
                 parent[max(ru, rv)] = min(ru, rv)
                 chosen.append(e)
                 if len(chosen) == self.n - 1:
-                    break
+                    # A spanning tree: one component, labelled by vertex 0.
+                    return chosen, np.zeros(self.n, dtype=np.int64)
         labels = np.fromiter((find(v) for v in range(self.n)), dtype=np.int64, count=self.n)
         return chosen, labels
 
@@ -226,19 +225,6 @@ class CapacitatedGraph:
         # The parent's edges are sorted and remap keeps vertex order, so the
         # subgraph lists its edges in edge_ids order.
         return CapacitatedGraph(len(keep), sub_edges), keep, edge_ids
-
-
-@dataclass(frozen=True)
-class SubgraphMask:
-    """Set of undirected edges removed relative to a base graph."""
-
-    removed: frozenset[int]
-
-    def active(self, m: int) -> np.ndarray:
-        out = np.ones(m, dtype=bool)
-        if self.removed:
-            out[list(self.removed)] = False
-        return out
 
 
 class FlowAssignment:
@@ -305,28 +291,30 @@ class FlowAssignment:
 
 
 class ResidualView:
-    """Directed arc capacities of a (possibly masked) graph under a flow.
+    """Directed arc capacities of a graph under a flow, on its active edges.
 
-    Arc capacities follow ``c'(u,v) = c(u,v) - f(u,v) + f(v,u)``.  Flow on
-    masked edges is dropped before the computation (the restriction of the
-    flow to the masked graph); masked arcs expose capacity 0.  Derived
-    capacities below ``-tolerance`` raise; small negatives are clamped to 0.
+    Arc capacities follow ``c'(u,v) = c(u,v) - f(u,v) + f(v,u)``.
+    ``active_edges`` is a boolean array with one entry per undirected edge
+    (all edges when omitted).  Flow on inactive edges is dropped before the
+    computation (the restriction of the flow to the active edges); inactive
+    arcs expose capacity 0.  Derived capacities below ``-tolerance`` raise;
+    small negatives are clamped to 0.
     """
 
     def __init__(
         self,
         graph: CapacitatedGraph,
         flow: FlowAssignment,
-        mask: Optional[SubgraphMask] = None,
+        active_edges: Optional[np.ndarray] = None,
     ) -> None:
         if flow.graph is not graph:
             raise ValueError("flow was built for a different graph")
+        m = graph.m
+        active = np.ones(m, dtype=bool) if active_edges is None else active_edges
+        if not (isinstance(active, np.ndarray) and active.dtype == bool and active.shape == (m,)):
+            raise ValueError(f"active_edges must be a boolean array of shape ({m},)")
         self.graph = graph
         self.flow = flow
-        self.mask = mask
-
-        m = graph.m
-        active = mask.active(m) if mask is not None else np.ones(m, dtype=bool)
         self.active_edges = active
         act2 = np.concatenate([active, active])
         restricted = np.where(act2, flow.values, 0.0)
@@ -353,13 +341,6 @@ class ResidualView:
 
     def capacity(self, u: int, v: int) -> float:
         return float(self.arc_caps[self.graph.arc_index(u, v)])
-
-
-def residual_view(
-    graph: CapacitatedGraph, flow: FlowAssignment, mask: Optional[SubgraphMask] = None
-) -> ResidualView:
-    """Residual arc-capacity view of ``graph`` (optionally masked) under ``flow``."""
-    return ResidualView(graph, flow, mask)
 
 
 @dataclass(frozen=True)

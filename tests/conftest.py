@@ -2,15 +2,20 @@
 
 The brute-force routines here enumerate vertex subsets directly and are the
 reference implementations the faster library code is checked against; they
-must stay independent of the modules under test.
+must stay independent of the modules under test.  ``reference_round`` is the
+one exception: it replays a driver round the long way, on a copy of s's
+component, to check the round that runs on the input graph itself.
 """
 
+import functools
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from faircut.graph import CapacitatedGraph
+from faircut import driver
+from faircut.flowcut import FlowResult, SolverExhausted, flow_or_cut
+from faircut.graph import CapacitatedGraph, FlowAssignment, ResidualView, VertexCut, add_flows
 
 
 def brute_min_cut_value(g: CapacitatedGraph, s: int, t: int) -> float:
@@ -80,6 +85,54 @@ def bfs_components(n: int, us, vs, active=None) -> list[frozenset]:
             frontier = nxt
         parts.append(frozenset(part))
     return parts
+
+
+def reference_round(state, eps: float, builder, budget: int = 400, seed=None):
+    """One driver round solved on an induced copy of s's component.
+
+    Copies the unmasked edges of the component of s, remaps s and t, runs
+    the primitive on the copy and lifts its flow or cut back to the input
+    graph.  Returns ``(new_state, record)`` like ``driver.iterate_once``.
+    """
+    graph = state.graph
+    s, t = state.cut.source, state.cut.sink
+    tau = driver.THRESHOLD_FACTOR * state.potential_value
+    labels = graph.connected_components(active_edges=state.residual.active_edges)
+
+    primal_gap = float("nan")
+    if labels[s] != labels[t]:
+        side = frozenset(int(v) for v in np.nonzero(labels == labels[s])[0])
+        branch = "cut"
+        new_cut, new_flow = driver._uncross(state, VertexCut(side, source=s, sink=t)), state.flow
+    else:
+        comp = np.nonzero(labels == labels[s])[0]
+        sub, vkeep, ekeep = graph.induced(comp, active_edges=state.residual.active_edges)
+        remap = -np.ones(graph.n, dtype=np.int64)
+        remap[vkeep] = np.arange(len(vkeep))
+        sub_vals = np.concatenate([state.flow.values[ekeep], state.flow.values[ekeep + graph.m]])
+        sub_res = ResidualView(sub, FlowAssignment(sub, sub_vals))
+        cuts = functools.cache(lambda: builder(sub, seed))
+        try:
+            result = flow_or_cut(sub_res, int(remap[s]), int(remap[t]), tau, eps, cuts, budget)
+        except SolverExhausted:
+            result = flow_or_cut(sub_res, int(remap[s]), int(remap[t]), tau, eps, cuts, budget * 4)
+        if isinstance(result, FlowResult):
+            lifted = np.zeros(graph.num_arcs, dtype=np.float64)
+            lifted[ekeep] = result.flow.values[: sub.m]
+            lifted[ekeep + graph.m] = result.flow.values[sub.m :]
+            branch = "flow"
+            primal_gap = result.primal_gap
+            new_cut, new_flow = state.cut, add_flows(state.flow, FlowAssignment(graph, lifted))
+        else:
+            side = frozenset(int(vkeep[v]) for v in result.cut.side)
+            branch = "cut"
+            new_cut, new_flow = driver._uncross(state, VertexCut(side, source=s, sink=t)), state.flow
+
+    new_state = driver._make_state(graph, new_cut, new_flow, eps, state.index + 1)
+    record = driver.IterationRecord(
+        index=state.index, potential=state.potential_value, branch=branch, primal_gap=primal_gap
+    )
+    return new_state, record
 
 
 def reference_kruskal(n: int, us, vs, keys) -> set[int]:

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faircut import driver
-from faircut.approximator import build_exhaustive
+from faircut.approximator import build_exhaustive, resolve_builder
 from faircut.driver import (
     CONTRACTION,
     default_round_limit,
@@ -23,7 +25,7 @@ from faircut.graph import (
 from faircut.generators import random_connected_graph
 from faircut.oracles import min_fair_alpha
 
-from conftest import brute_min_cut_value, small_graph
+from conftest import brute_min_cut_value, reference_round, small_graph
 
 
 def path_2_1():
@@ -79,7 +81,7 @@ class TestIterateOnce:
         g = CapacitatedGraph(3, [(0, 1, 1), (0, 2, 1)])  # 0=s, 1=a, 2=t
         flow = FlowAssignment.from_arc_dict(g, {(0, 2): 1.0})
         state = _make_state(g, VertexCut(frozenset({0}), 0, 2), flow, 0.05, 1)
-        assert state.mask.removed == frozenset({g.edge_of_arc(g.arc_index(0, 2))})
+        assert np.flatnonzero(~state.residual.active_edges).tolist() == [g.edge_of_arc(g.arc_index(0, 2))]
         assert state.potential_value == pytest.approx(1.0)  # only (0,1) remains
         new_state, record = iterate_once(state, 0.05, lambda sub, seed: build_exhaustive(sub))
         assert record.branch == "cut"
@@ -87,9 +89,10 @@ class TestIterateOnce:
         assert new_state.potential_value == pytest.approx(0.0)
 
     def test_stranded_component_is_excluded_from_the_solve(self, monkeypatch):
-        # the pendant x hangs off a saturated edge; the subproblem must not
-        # touch it and the flow branch must leave its arcs at zero
-        g = CapacitatedGraph(3, [(0, 1, 4), (0, 2, 1)])  # 0=s, 1=t, 2=x
+        # the pendant x (with its neighbour y) hangs off a saturated edge; the
+        # solve must see no capacity at either and the flow branch must leave
+        # their arcs unchanged
+        g = CapacitatedGraph(4, [(0, 1, 4), (0, 2, 1), (2, 3, 1)])  # 0=s, 1=t, 2=x, 3=y
         flow = FlowAssignment.from_arc_dict(g, {(0, 2): 1.0})
         state = _make_state(g, VertexCut(frozenset({0}), 0, 1), flow, 0.05, 1)
         seen = {}
@@ -98,13 +101,14 @@ class TestIterateOnce:
             seen["builder"] = True
             return build_exhaustive(sub)
 
-        def recording_flow_or_cut(graph, *args, **kwargs):
-            seen["n"] = graph.n
-            return flow_or_cut(graph, *args, **kwargs)
+        def recording_flow_or_cut(residual, *args, **kwargs):
+            seen["residual"] = residual
+            return flow_or_cut(residual, *args, **kwargs)
 
         monkeypatch.setattr(driver, "flow_or_cut", recording_flow_or_cut)
         new_state, record = iterate_once(state, 0.05, builder)
-        assert seen["n"] == 2  # x never entered the subproblem
+        pendant_arcs = np.concatenate([g.out_arcs(2), g.in_arcs(2), g.out_arcs(3)])
+        assert np.all(seen["residual"].arc_caps[pendant_arcs] == 0.0)  # no capacity in the solve
         assert "builder" not in seen  # a flow round needs no cut matrix
         assert record.branch == "flow"
         pendant_arc = g.arc_index(0, 2)
@@ -124,6 +128,75 @@ class TestIterateOnce:
                 assert state.potential_value <= CONTRACTION * prev + 1e-9 * g.max_capacity
                 rounds += 1
             assert state.potential_value < 4 * 0.05
+
+
+def pendant_state(core_n, pendant_n, cap_max, seed):
+    """Round-1 state whose pendant block hangs off s by a saturated edge.
+
+    A random connected core holds s and t; a random connected block of
+    ``pendant_n`` vertices is joined to s by one edge that the flow
+    saturates, so every round strands the block.  Vertex ids are shuffled so
+    that stranded ids interleave with the component's.
+    """
+    rng = np.random.default_rng(seed)
+    core = random_connected_graph(core_n, min(2 * core_n, core_n * (core_n - 1) // 2), rng, max_cap=cap_max)
+    n = core_n + pendant_n
+    perm = rng.permutation(n)
+    edges = [(perm[u], perm[v], c) for u, v, c in core.edge_list()]
+    for i in range(1, pendant_n):
+        edges.append((perm[core_n + i], perm[core_n + int(rng.integers(i))], int(rng.integers(1, cap_max + 1))))
+    attach = int(rng.integers(1, cap_max + 1))
+    s, t, x = int(perm[0]), int(perm[core_n - 1]), int(perm[core_n])
+    edges.append((s, x, attach))
+    g = CapacitatedGraph(n, edges)
+    flow = FlowAssignment.from_arc_dict(g, {(s, x): attach})
+    return _make_state(g, VertexCut(frozenset({s}), s, t), flow, 0.05, 1)
+
+
+class TestStrandedRounds:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        core_n=st.integers(3, 9),
+        pendant_n=st.integers(1, 4),
+        cap_max=st.sampled_from([1, 2, 3, 50]),
+        descriptor=st.sampled_from(["exhaustive", "multitree:3"]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_rounds_match_the_induced_copy(self, core_n, pendant_n, cap_max, descriptor, seed):
+        builder = resolve_builder(descriptor)
+        ours = theirs = pendant_state(core_n, pendant_n, cap_max, seed)
+        stranded = theirs.graph.n - core_n
+        for r in range(8):
+            if ours.potential_value < 4 * 0.05:
+                break
+            labels = ours.graph.connected_components(active_edges=ours.residual.active_edges)
+            assert int(np.count_nonzero(labels != labels[ours.cut.source])) >= stranded
+            ours, rec = iterate_once(ours, 0.05, builder, seed=r)
+            theirs, ref = reference_round(theirs, 0.05, builder, seed=r)
+            assert (rec.branch, repr(rec.primal_gap), rec.potential) == (ref.branch, repr(ref.primal_gap), ref.potential)
+            assert ours.cut.side == theirs.cut.side
+            assert ours.potential_value == theirs.potential_value
+            assert ours.flow.values.tobytes() == theirs.flow.values.tobytes()
+
+    def test_induced_copies_only_for_a_matrix(self, monkeypatch):
+        calls = []
+        induced = CapacitatedGraph.induced
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.n)
+            return induced(self, *args, **kwargs)
+
+        monkeypatch.setattr(CapacitatedGraph, "induced", counting)
+        builder = lambda sub, seed: build_exhaustive(sub)
+        g = CapacitatedGraph(2, [(0, 1, 1)])
+        state = _make_state(g, VertexCut(frozenset({0}), 0, 1), FlowAssignment(g), 0.05, 1)
+        _, record = iterate_once(state, 0.05, builder)
+        assert (record.branch, calls) == ("flow", [])
+        # max-flow 1 below tau = 2: the round builds a matrix and cuts
+        g = CapacitatedGraph(3, [(0, 1, 4), (1, 2, 1)])
+        state = _make_state(g, VertexCut(frozenset({0}), 0, 2), FlowAssignment(g), 0.05, 1)
+        _, record = iterate_once(state, 0.05, builder)
+        assert (record.branch, calls) == ("cut", [3])
 
 
 class TestFairCut:
@@ -163,14 +236,15 @@ class TestFairCut:
 
         builder = lambda sub, seed: build_multi_tree(sub, 4, seed or 0)
         state = _make_state(g, VertexCut(frozenset({0}), 0, 19), FlowAssignment(g), 0.05, 1)
-        prev_removed, prev_cut = state.mask.removed, state.cut.side
+        prev_removed, prev_cut = ~state.residual.active_edges, state.cut.side
         for r in range(25):
             if state.potential_value < 4 * 0.05:
                 break
             state, rec = iterate_once(state, 0.05, builder, seed=r)
+            removed = ~state.residual.active_edges
             if rec.branch == "flow" and state.cut.side == prev_cut:
-                assert prev_removed <= state.mask.removed
-            prev_removed, prev_cut = state.mask.removed, state.cut.side
+                assert np.all(removed[prev_removed])
+            prev_removed, prev_cut = removed, state.cut.side
 
     def test_eps_validation(self):
         g = path_2_1()

@@ -46,7 +46,7 @@ class TestReduce:
     def test_single_edge_operator_column(self):
         g = single_edge(1)
         res = empty_residual(g)
-        problem = reduce_problem(g, res, st_demand(2, 0, 1, 1.0), build_exhaustive(g))
+        problem = reduce_problem(res, st_demand(2, 0, 1, 1.0), build_exhaustive(g))
         x = np.zeros(g.num_arcs)
         x[g.arc_index(0, 1)] = 1.0
         assert np.allclose(problem.operator(x), [1.0, -1.0])
@@ -63,7 +63,7 @@ class TestReduce:
         res = empty_residual(g)
         with pytest.raises(ValueError):
             bad = CutMatrix(n=2, rows=[np.array([0])], weights=np.array([np.inf]))
-            reduce_problem(g, res, np.zeros(2), bad)
+            reduce_problem(res, np.zeros(2), bad)
 
     def test_matrix_without_bound_rejected(self):
         # A custom builder may leave alpha_bound at its default, inf.
@@ -71,7 +71,7 @@ class TestReduce:
         unbounded = CutMatrix(n=2, rows=[np.array([0])], weights=np.array([0.5]))
         assert unbounded.alpha_bound == float("inf")
         with pytest.raises(ValueError, match="certified bound"):
-            reduce_problem(g, empty_residual(g), np.zeros(2), unbounded)
+            reduce_problem(empty_residual(g), np.zeros(2), unbounded)
 
 
 class TestSaddleSolve:
@@ -80,7 +80,7 @@ class TestSaddleSolve:
         res = empty_residual(g)
         value, _, _ = max_flow_exact(g, 0, 1)
         d = st_demand(2, 0, 1, value / 2.0)
-        problem = reduce_problem(g, res, d, build_exhaustive(g))
+        problem = reduce_problem(res, d, build_exhaustive(g))
         out = saddle_solve(problem, 0.05, budget=50)
         assert isinstance(out, PrimalCertificate)
         assert out.gap <= 0.05
@@ -88,7 +88,7 @@ class TestSaddleSolve:
     def test_infeasible_instance_returns_dual(self):
         g = single_edge(1)
         res = empty_residual(g)
-        problem = reduce_problem(g, res, st_demand(2, 0, 1, 2.0), build_exhaustive(g))
+        problem = reduce_problem(res, st_demand(2, 0, 1, 2.0), build_exhaustive(g))
         out = saddle_solve(problem, 0.05, budget=200)
         assert isinstance(out, DualWitness)
         assert out.potential is not None
@@ -98,7 +98,7 @@ class TestSaddleSolve:
     def test_budget_zero_is_exhausted(self):
         g = single_edge(1)
         res = empty_residual(g)
-        problem = reduce_problem(g, res, st_demand(2, 0, 1, 2.0), build_exhaustive(g))
+        problem = reduce_problem(res, st_demand(2, 0, 1, 2.0), build_exhaustive(g))
         out = saddle_solve(problem, 0.05, budget=0)
         assert isinstance(out, ExhaustedOutcome)
 
@@ -117,7 +117,7 @@ class TestSaddleSolve:
                 continue
             tau = float(mf) * float(rng.uniform(0.3, 1.0))
             cuts = build_exhaustive(g) if n <= 10 else build_multi_tree(g, 4, seed=i)
-            problem = reduce_problem(g, res, st_demand(n, 0, n - 1, tau), cuts)
+            problem = reduce_problem(res, st_demand(n, 0, n - 1, tau), cuts)
             slack = (0.1 / 4.0) / problem.alpha
             for budget in (1, 3, 30):
                 out = saddle_solve(problem, slack, budget)
@@ -140,7 +140,7 @@ class TestSaddleSolve:
             tau = max(float(mf) * float(rng.uniform(0.5, 1.5)), 0.05)
             cuts = build_exhaustive(g) if n <= 10 and i % 2 == 0 else build_multi_tree(g, 4, seed=i)
             d = st_demand(n, s, t, tau)
-            problem = reduce_problem(g, res, d, cuts)
+            problem = reduce_problem(res, d, cuts)
             eps = (0.2, 0.1, 0.05)[i % 3]
             out = saddle_solve(problem, (eps / 4.0) / problem.alpha, budget=(1, 3, 30, 400)[i % 4])
             if not isinstance(out, DualWitness):
@@ -162,7 +162,7 @@ class TestSaddleSolve:
 
     def test_bad_slack_rejected(self):
         g = single_edge(1)
-        problem = reduce_problem(g, empty_residual(g), np.zeros(2), build_exhaustive(g))
+        problem = reduce_problem(empty_residual(g), np.zeros(2), build_exhaustive(g))
         with pytest.raises(ValueError):
             saddle_solve(problem, 1.5, budget=10)
 
@@ -173,7 +173,7 @@ class TestDualToPotential:
     def _problem(self):
         g = single_edge(1)
         res = empty_residual(g)
-        return reduce_problem(g, res, st_demand(2, 0, 1, 2.0), build_exhaustive(g))
+        return reduce_problem(res, st_demand(2, 0, 1, 2.0), build_exhaustive(g))
 
     def test_hand_instance(self):
         problem = self._problem()
@@ -263,7 +263,7 @@ class TestFlowOrCut:
     def test_single_edge_flow_side(self):
         g = single_edge(5)
         res = empty_residual(g)
-        out = flow_or_cut(g, res, 0, 1, tau=3.0, eps=0.1, cuts=build_exhaustive(g))
+        out = flow_or_cut(res, 0, 1, tau=3.0, eps=0.1, cuts=build_exhaustive(g))
         assert isinstance(out, FlowResult)
         opt, _ = min_congestion_routing(g, out.residual_demand)
         assert opt <= 0.1 + 1e-9
@@ -271,7 +271,7 @@ class TestFlowOrCut:
     def test_single_edge_cut_side(self):
         g = single_edge(5)
         res = empty_residual(g)
-        out = flow_or_cut(g, res, 0, 1, tau=7.0, eps=0.1, cuts=build_exhaustive(g))
+        out = flow_or_cut(res, 0, 1, tau=7.0, eps=0.1, cuts=build_exhaustive(g))
         assert isinstance(out, CutResult)
         assert out.cut.side == frozenset({0})
         assert out.value == pytest.approx(5.0)
@@ -279,18 +279,18 @@ class TestFlowOrCut:
     def test_zero_tau_rejected(self):
         g = single_edge(1)
         with pytest.raises(ValueError, match="threshold"):
-            flow_or_cut(g, empty_residual(g), 0, 1, tau=0.0, eps=0.1, cuts=build_exhaustive(g))
+            flow_or_cut(empty_residual(g), 0, 1, tau=0.0, eps=0.1, cuts=build_exhaustive(g))
 
     def test_bad_eps_rejected(self):
         g = single_edge(1)
         with pytest.raises(ValueError, match="eps"):
-            flow_or_cut(g, empty_residual(g), 0, 1, tau=1.0, eps=0.7, cuts=build_exhaustive(g))
+            flow_or_cut(empty_residual(g), 0, 1, tau=1.0, eps=0.7, cuts=build_exhaustive(g))
 
     def test_saturated_residual_takes_reachability_cut(self):
         g = CapacitatedGraph(3, [(0, 1, 2), (1, 2, 1)])
         f = FlowAssignment.from_arc_dict(g, {(1, 2): 1.0})
         res = ResidualView(g, f)
-        out = flow_or_cut(g, res, 0, 2, tau=0.5, eps=0.1, cuts=build_exhaustive(g))
+        out = flow_or_cut(res, 0, 2, tau=0.5, eps=0.1, cuts=build_exhaustive(g))
         assert isinstance(out, CutResult)
         assert out.via == "reachability"
         assert out.value == 0.0 and out.cut.side == frozenset({0, 1})
@@ -306,7 +306,7 @@ class TestFlowOrCut:
             mf, _, _ = max_flow_exact(res, s, t)
             tau = max(float(mf) * float(rng.uniform(0.3, 1.8)), 0.05)
             cuts = build_exhaustive(g) if n <= 12 else build_multi_tree(g, 8, seed=i)
-            out = flow_or_cut(g, res, s, t, tau, eps=0.1, cuts=cuts, budget=300)
+            out = flow_or_cut(res, s, t, tau, eps=0.1, cuts=cuts, budget=300)
             if isinstance(out, CutResult):
                 cutscount += 1
                 value = brute_directed_cut(g.tails, g.heads, res.arc_caps, set(out.cut.side), n)
@@ -318,7 +318,7 @@ class TestFlowOrCut:
                 opt, _ = min_congestion_routing(g, out.residual_demand)
                 assert opt <= 0.1 + 1e-6
                 # the stated primal bound in matrix terms: gap within the slack
-                prob = reduce_problem(g, res, st_demand(n, s, t, tau), cuts)
+                prob = reduce_problem(res, st_demand(n, s, t, tau), cuts)
                 assert out.primal_gap <= (0.1 / 4.0) / prob.alpha + 1e-12
         assert flows > 5 and cutscount > 5
 
@@ -326,8 +326,8 @@ class TestFlowOrCut:
         g = random_connected_graph(15, 30, rng, max_cap=10)
         res = empty_residual(g)
         cuts = build_multi_tree(g, 4, seed=9)
-        a = flow_or_cut(g, res, 0, 14, 3.0, 0.05, cuts, budget=200)
-        b = flow_or_cut(g, res, 0, 14, 3.0, 0.05, cuts, budget=200)
+        a = flow_or_cut(res, 0, 14, 3.0, 0.05, cuts, budget=200)
+        b = flow_or_cut(res, 0, 14, 3.0, 0.05, cuts, budget=200)
         assert type(a) is type(b)
         if isinstance(a, FlowResult):
             assert np.array_equal(a.flow.values, b.flow.values)
@@ -346,7 +346,7 @@ class TestSalvage:
             res = empty_residual(g)
             maxflow, _, _ = max_flow_exact(res, s, t)
             tau = 1.05 * maxflow
-            out = flow_or_cut(g, res, s, t, tau, eps=0.1, cuts=build_tree(g, seed=i), budget=1)
+            out = flow_or_cut(res, s, t, tau, eps=0.1, cuts=build_tree(g, seed=i), budget=1)
             assert isinstance(out, CutResult)
             if out.via != "salvage":
                 assert out.via == "threshold-cut"
@@ -365,7 +365,7 @@ def refusing_builder():
 class TestLazyCutMatrix:
     def test_warm_start_flow_never_builds(self, rng):
         g = single_edge(5)
-        out = flow_or_cut(g, empty_residual(g), 0, 1, tau=5.0, eps=0.1, cuts=refusing_builder)
+        out = flow_or_cut(empty_residual(g), 0, 1, tau=5.0, eps=0.1, cuts=refusing_builder)
         assert isinstance(out, FlowResult)
         assert out.iterations == 0 and out.primal_gap == 0.0
         assert np.allclose(out.residual_demand, 0.0)
@@ -377,7 +377,7 @@ class TestLazyCutMatrix:
             if mf <= 0:
                 continue
             tau = float(mf) * float(rng.uniform(0.3, 1.0))
-            out = flow_or_cut(g, res, 0, n - 1, tau, eps=0.1, cuts=refusing_builder)
+            out = flow_or_cut(res, 0, n - 1, tau, eps=0.1, cuts=refusing_builder)
             assert isinstance(out, FlowResult) and out.iterations == 0
             assert np.abs(out.residual_demand).max() <= 1e-9 * tau
 
@@ -421,7 +421,7 @@ class TestLazyCutMatrix:
     def test_zero_budget_flow_round_exhausts_after_one_build(self):
         g = single_edge(5)
         with pytest.raises(SolverExhausted):
-            flow_or_cut(g, empty_residual(g), 0, 1, tau=3.0, eps=0.1, cuts=build_exhaustive(g), budget=0)
+            flow_or_cut(empty_residual(g), 0, 1, tau=3.0, eps=0.1, cuts=build_exhaustive(g), budget=0)
         state = _make_state(g, VertexCut(frozenset({0}), 0, 1), FlowAssignment(g), 0.05, 1)
         built = []
 
@@ -439,7 +439,7 @@ class TestRowScan:
         g = CapacitatedGraph(3, [(0, 1, 2), (1, 2, 1)])
         res = empty_residual(g)
         d = st_demand(3, 0, 2, 5.0)  # above every cut
-        problem = reduce_problem(g, res, d, build_exhaustive(g))
+        problem = reduce_problem(res, d, build_exhaustive(g))
         witness = _scan_rows(problem, iterations=1)
         assert witness is not None
         assert np.count_nonzero(witness.y) == 1 and witness.y.max() == 1.0
@@ -458,7 +458,7 @@ class TestRowScan:
         g = CapacitatedGraph(3, [(0, 1, 2), (1, 2, 1)])
         res = empty_residual(g)
         d = st_demand(3, 2, 0, 5.0)  # reversed terminals; rows anchor vertex 0
-        problem = reduce_problem(g, res, d, build_exhaustive(g))
+        problem = reduce_problem(res, d, build_exhaustive(g))
         witness = _scan_rows(problem, iterations=1)
         assert witness is not None
         assert np.count_nonzero(witness.y) == 1 and witness.y.min() == -1.0

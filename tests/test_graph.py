@@ -7,17 +7,15 @@ from faircut.graph import (
     CapacitatedGraph,
     FlowAssignment,
     ResidualView,
-    SubgraphMask,
     VertexCut,
     add_flows,
     directed_cut_value,
     divergence,
     net_flow_across,
-    residual_view,
     st_demand,
     undirected_cut_value,
 )
-from faircut.generators import random_feasible_flow
+from faircut.generators import random_connected_graph, random_feasible_flow
 
 from conftest import bfs_components, small_graph
 
@@ -68,40 +66,48 @@ class TestResidualView:
     def test_formula(self):
         g = CapacitatedGraph(2, [(0, 1, 2)])
         f = FlowAssignment.from_arc_dict(g, {(0, 1): 1.5})
-        r = residual_view(g, f)
+        r = ResidualView(g, f)
         assert r.capacity(0, 1) == pytest.approx(0.5)
         assert r.capacity(1, 0) == pytest.approx(3.5)
 
     def test_empty_flow_is_identity(self):
         g = path_2_1()
-        r = residual_view(g, FlowAssignment(g))
+        r = ResidualView(g, FlowAssignment(g))
         assert np.array_equal(r.arc_caps, g.arc_caps)
 
     def test_saturation(self):
         g = CapacitatedGraph(2, [(0, 1, 3)])
         f = FlowAssignment.from_arc_dict(g, {(0, 1): 3})
-        r = residual_view(g, f)
+        r = ResidualView(g, f)
         assert r.capacity(0, 1) == 0.0
         assert r.capacity(1, 0) == 6.0
 
     def test_mask_drops_flow_silently(self):
         g = path_2_1()
         f = FlowAssignment.from_arc_dict(g, {(0, 1): 1.0})
-        r = residual_view(g, f, SubgraphMask(frozenset({0})))
+        r = ResidualView(g, f, np.array([False, True]))
         assert r.capacity(0, 1) == 0.0  # masked edge exposes no capacity
         assert r.restricted_values[g.arc_index(0, 1)] == 0.0
+
+    def test_active_edges_must_be_one_bool_per_edge(self):
+        g = path_2_1()
+        f = FlowAssignment(g)
+        with pytest.raises(ValueError, match="active_edges"):
+            ResidualView(g, f, np.array([True, True, False]))
+        with pytest.raises(ValueError, match="active_edges"):
+            ResidualView(g, f, np.array([1, 0]))
 
     def test_infeasible_flow_rejected(self):
         g = CapacitatedGraph(2, [(0, 1, 2)])
         f = FlowAssignment.from_arc_dict(g, {(0, 1): 5.0})
         with pytest.raises(ValueError, match="negative residual"):
-            residual_view(g, f)
+            ResidualView(g, f)
 
     def test_antisymmetry(self, rng):
         for _ in range(20):
             g = small_graph(rng)
             f = random_feasible_flow(g, rng)
-            r = residual_view(g, f)
+            r = ResidualView(g, f)
             m = g.m
             pair_sum = r.arc_caps[:m] + r.arc_caps[m:]
             assert np.allclose(pair_sum, 2.0 * g.caps, atol=1e-9)
@@ -123,7 +129,7 @@ class TestCutValues:
     def test_path_prefix(self):
         g = path_2_1()
         cut = VertexCut(frozenset({0, 1}), source=0, sink=2)
-        r = residual_view(g, FlowAssignment(g))
+        r = ResidualView(g, FlowAssignment(g))
         assert directed_cut_value(r, cut) == 1.0
         assert undirected_cut_value(g, cut) == 1.0
 
@@ -131,7 +137,7 @@ class TestCutValues:
         for _ in range(60):
             g = small_graph(rng, n_lo=4, n_hi=12)
             f = random_feasible_flow(g, rng)
-            view = residual_view(g, f)
+            view = ResidualView(g, f)
             n = g.n
             a_bits = int(rng.integers(1, (1 << n) - 1))
             b_bits = int(rng.integers(1, (1 << n) - 1))
@@ -242,6 +248,27 @@ def test_components_match_bfs(state):
         for part in parts:
             assert {int(labels[v]) for v in part} == {min(part)}
         assert len(set(labels.tolist())) == len(parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_spanning_forest_labels_match_bfs(parts_wanted, state):
+    # One part takes the spanning-tree exit; two to four take the labels pass.
+    gen = np.random.default_rng(state)
+    sizes = gen.integers(1, 7, size=parts_wanted)
+    perm = gen.permutation(int(sizes.sum()))
+    edges, base = [], 0
+    for size in sizes.tolist():
+        if size > 1:
+            part = random_connected_graph(size, int(gen.integers(size - 1, size * (size - 1) // 2 + 1)), gen)
+            edges += [(perm[base + u], perm[base + v], c) for u, v, c in part.edge_list()]
+        base += size
+    g = CapacitatedGraph(len(perm), edges)
+    chosen, labels = g.spanning_forest(gen.permutation(g.m))
+    parts = bfs_components(g.n, g.us, g.vs)
+    assert len(parts) == parts_wanted and len(chosen) == g.n - parts_wanted
+    for part in parts:
+        assert {int(labels[v]) for v in part} == {min(part)}
 
 
 @settings(max_examples=60, deadline=None)

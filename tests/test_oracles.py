@@ -3,10 +3,10 @@ import pytest
 
 from faircut.graph import (
     CapacitatedGraph,
+    ResidualView,
     VertexCut,
     divergence,
     net_flow_across,
-    residual_view,
     st_demand,
     undirected_cut_value,
 )
@@ -103,7 +103,7 @@ class TestMaxFlow:
     def test_on_residual_view(self, rng):
         g = small_graph(rng)
         f = random_feasible_flow(g, rng)
-        res = residual_view(g, f)
+        res = ResidualView(g, f)
         value, flow, cut = max_flow_exact(res, 0, g.n - 1)
         assert value >= -1e-12
         assert np.all(flow.values <= res.arc_caps + g.tolerance)
