@@ -4,9 +4,11 @@ These certify the approximate pipeline at desk scale.  Max-flow is a Dinic
 (level graph + blocking flow) implementation; it is exact on integer
 capacities and works on float capacities with the global tolerance.  It is
 the package's one max-flow: :mod:`faircut.flowcut` warm-starts from it on
-residual views.  The
-fairness check reduces to a flow-with-lower-bounds feasibility problem and
-the minimal fairness factor is found by binary search.
+residual views.  Minimum-congestion routing takes discrete Newton steps over
+the violated cuts of scaled max-flows and returns the exact optimum, a cut's
+demand-to-capacity ratio, in a few max-flows.  The fairness check reduces to
+a flow-with-lower-bounds feasibility problem and the minimal fairness factor
+is found by binary search.
 
 The per-arc fairness requirement is interpreted in the net sense: the
 witness must push at least ``c(u,v)/alpha`` net flow across every cut arc.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -39,8 +41,7 @@ __all__ = [
     "verify_fairness",
 ]
 
-# Binary-search precision knobs, fixed and referenced by the tests.
-CONGESTION_INTERVAL_REL = 1e-10
+# Binary-search precision knob, fixed and referenced by the tests.
 ALPHA_INTERVAL_REL = 1e-6
 
 
@@ -198,14 +199,21 @@ def min_congestion_routing(
 ) -> tuple[float, FlowAssignment]:
     """Minimum congestion needed to route demand ``d`` in the bidirected graph.
 
-    Reduces feasibility at a candidate congestion ``kappa`` to a
-    super-source/super-sink max-flow (arcs scaled to ``kappa * c``) and
-    binary-searches ``kappa``.  The returned flow routes ``d`` with
-    congestion at most ``opt * (1 + 1e-6)``.
+    The optimum is the largest ratio of demand inside a vertex set to its
+    boundary capacity.  Feasibility at a candidate congestion ``kappa`` is a
+    super-source/super-sink max-flow with arcs scaled to ``kappa * c``.
+    Discrete Newton (Dinkelbach) steps start ``kappa`` at the ratio of the
+    positive-demand vertices; each infeasible solve leaves a violated set on
+    the source side of its residual, whose ratio is strictly larger and
+    becomes the next ``kappa``.  The first feasible ``kappa`` is a set's
+    ratio, so it is the exact optimum, and its flow routes ``d`` with
+    congestion at most ``opt``.  A call takes a few max-flows.
 
     Raises:
-        ValueError: if some connected component's demand does not balance
-            (no finite congestion can route it).
+        ValueError: if some connected component's demand does not balance,
+            or a set with demand inside has no boundary capacity (no finite
+            congestion can route it).
+        RuntimeError: if float noise stalls the Newton steps.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.shape != (g.n,):
@@ -236,55 +244,35 @@ def min_congestion_routing(
         value = solver.solve(src, snk, zero=0.0)
         return value >= supply - feas_tol, solver
 
-    violated: Optional[frozenset] = None
-
-    def record_violation(solver) -> None:
-        nonlocal violated
-        reach = solver.reachable(src, zero=1e-12 * supply)
-        side = frozenset(v for v in reach if v < g.n)
-        if side:
-            violated = side
-
-    hi = 1.0
-    ok, solver = attempt(hi)
-    doublings = 0
-    while not ok:
-        record_violation(solver)
-        hi *= 2.0
-        doublings += 1
-        if doublings > 80:
-            raise RuntimeError("congestion search failed to bracket; demand appears unroutable")
-        ok, solver = attempt(hi)
-    lo = 0.0 if doublings == 0 else hi / 2.0
-
-    while hi - lo > CONGESTION_INTERVAL_REL * max(hi, 1e-30) and hi - lo > 1e-18:
-        mid = 0.5 * (lo + hi)
-        ok, cand_solver = attempt(mid)
-        if ok:
-            hi, solver = mid, cand_solver
-        else:
-            record_violation(cand_solver)
-            lo = mid
-
-    # Polish to an exact combinatorial value: the violated cut at the last
-    # infeasible candidate pins the optimum as demand-inside over boundary
-    # capacity, computed from exact sums instead of the bisection endpoint.
-    # Any set's ratio is a lower bound on the optimum, so a ratio above the
-    # final infeasible endpoint can only be more accurate than hi itself.
-    opt = float(hi)
-    if violated is not None and len(violated) < g.n:
+    def ratio(side: frozenset) -> float:
+        """Demand inside ``side`` over its boundary capacity, from exact sums."""
         mask = np.zeros(g.n, dtype=bool)
-        mask[list(violated)] = True
+        mask[list(side)] = True
         boundary = float(g.caps[mask[g.us] != mask[g.vs]].sum())
-        if boundary > 0:
-            ratio = float(d[list(violated)].sum()) / boundary
-            if ratio >= lo * (1.0 - 1e-12):
-                opt = ratio
+        if boundary <= 0:
+            raise ValueError("demand is trapped in a set with no boundary capacity; no routing exists")
+        return float(d[list(side)].sum()) / boundary
+
+    kappa = scale = ratio(frozenset(np.flatnonzero(d > 0).tolist()))
+    ok, solver = attempt(kappa)
+    while not ok:
+        side = frozenset(v for v in solver.reachable(src, zero=1e-12 * supply) if v < g.n)
+        following = ratio(side) if 0 < len(side) < g.n else kappa
+        if following <= kappa:
+            # In exact arithmetic the violated set's ratio exceeds kappa; when
+            # float noise says otherwise, kappa is the optimum up to that noise.
+            scale = kappa * (1.0 + 1e-10)
+            ok, solver = attempt(scale)
+            if not ok:
+                raise RuntimeError(f"congestion search stalled at kappa={kappa!r}")
+            break
+        kappa = scale = following
+        ok, solver = attempt(kappa)
 
     # Arc a of g was added first, in order, so its forward id is 2a.
-    used = hi * g.arc_caps - np.asarray(solver.cap[: 2 * g.num_arcs : 2], dtype=np.float64)
+    used = scale * g.arc_caps - np.asarray(solver.cap[: 2 * g.num_arcs : 2], dtype=np.float64)
     flow = FlowAssignment(g, np.maximum(used, 0.0)).cancel_antiparallel()
-    return opt, flow
+    return kappa, flow
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 The brute-force routines here enumerate vertex subsets directly and are the
 reference implementations the faster library code is checked against; they
-must stay independent of the modules under test.  ``reference_round`` is the
-one exception: it replays a driver round the long way, on a copy of s's
-component, to check the round that runs on the input graph itself.
+must stay independent of the modules under test.  ``reference_round`` and
+``reference_routing`` are the exceptions: the first replays a driver round
+the long way, on a copy of s's component, to check the round that runs on
+the input graph itself; the second searches the minimum congestion by
+bisection over the library's max-flow, to check its Newton steps.
 """
 
 import functools
@@ -16,6 +18,7 @@ import pytest
 from faircut import driver
 from faircut.flowcut import FlowResult, SolverExhausted, flow_or_cut
 from faircut.graph import CapacitatedGraph, FlowAssignment, ResidualView, VertexCut, add_flows
+from faircut.oracles import _component_balanced, _Dinic
 
 
 def brute_min_cut_value(g: CapacitatedGraph, s: int, t: int) -> float:
@@ -133,6 +136,81 @@ def reference_round(state, eps: float, builder, budget: int = 400, seed=None):
         index=state.index, potential=state.potential_value, branch=branch, primal_gap=primal_gap
     )
     return new_state, record
+
+
+def reference_routing(g: CapacitatedGraph, d: np.ndarray) -> tuple[float, FlowAssignment]:
+    """Minimum congestion by a doubling bracket, bisection and a cut-ratio polish.
+
+    Each candidate ``kappa`` is a super-source/super-sink max-flow with arcs
+    scaled to ``kappa * c``.  The bisection stops at 1e-10 relative width or
+    1e-18 absolute width; the optimum is then the ratio of the violated set
+    found at the last infeasible candidate, when that ratio is at least the
+    lower end.  Below about 1e-18 the absolute stop makes the answer wrong.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    tol = 1e-9 * max(1.0, float(np.abs(d).sum()))
+    if abs(float(d.sum())) > tol:
+        raise ValueError("demand entries must sum to zero")
+    supply = float(d[d > 0].sum())
+    if supply <= tol:
+        return 0.0, FlowAssignment(g)
+    if not _component_balanced(g, d, tol):
+        raise ValueError("demand crosses disconnected components; no routing exists")
+
+    src, snk = g.n, g.n + 1
+    feas_tol = 1e-12 * supply
+    tails, heads, arc_caps, demands = g.tails.tolist(), g.heads.tolist(), g.arc_caps.tolist(), d.tolist()
+
+    def attempt(kappa):
+        solver = _Dinic(g.n + 2)
+        for u, v, c in zip(tails, heads, arc_caps):
+            solver.add_arc(u, v, kappa * c)
+        for v, dv in enumerate(demands):
+            if dv > 0:
+                solver.add_arc(src, v, dv)
+            elif dv < 0:
+                solver.add_arc(v, snk, -dv)
+        return solver.solve(src, snk, zero=0.0) >= supply - feas_tol, solver
+
+    violated = None
+
+    def record_violation(solver):
+        nonlocal violated
+        side = frozenset(v for v in solver.reachable(src, zero=1e-12 * supply) if v < g.n)
+        if side:
+            violated = side
+
+    hi = 1.0
+    ok, solver = attempt(hi)
+    doublings = 0
+    while not ok:
+        record_violation(solver)
+        hi *= 2.0
+        doublings += 1
+        if doublings > 80:
+            raise RuntimeError("congestion search failed to bracket; demand appears unroutable")
+        ok, solver = attempt(hi)
+    lo = 0.0 if doublings == 0 else hi / 2.0
+    while hi - lo > 1e-10 * max(hi, 1e-30) and hi - lo > 1e-18:
+        mid = 0.5 * (lo + hi)
+        ok, cand_solver = attempt(mid)
+        if ok:
+            hi, solver = mid, cand_solver
+        else:
+            record_violation(cand_solver)
+            lo = mid
+
+    opt = float(hi)
+    if violated is not None and len(violated) < g.n:
+        mask = np.zeros(g.n, dtype=bool)
+        mask[list(violated)] = True
+        boundary = float(g.caps[mask[g.us] != mask[g.vs]].sum())
+        if boundary > 0:
+            ratio = float(d[list(violated)].sum()) / boundary
+            if ratio >= lo * (1.0 - 1e-12):
+                opt = ratio
+    used = hi * g.arc_caps - np.asarray(solver.cap[: 2 * g.num_arcs : 2], dtype=np.float64)
+    return opt, FlowAssignment(g, np.maximum(used, 0.0)).cancel_antiparallel()
 
 
 def reference_kruskal(n: int, us, vs, keys) -> set[int]:

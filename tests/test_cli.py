@@ -4,9 +4,11 @@ import re
 import numpy as np
 import pytest
 
+from faircut import approximator
 from faircut.cli import main
 from faircut.dimacs import serialize_dimacs
 from faircut.generators import random_connected_graph
+from faircut.graph import CapacitatedGraph
 
 PATH_INSTANCE = "p max 3 2\nn 1 s\nn 3 t\na 1 2 2\na 2 3 1\n"
 SINGLE_EDGE = "p max 2 1\nn 1 s\nn 2 t\na 1 2 10\n"
@@ -168,6 +170,18 @@ class TestMeasureAlpha:
         doc = json.loads(out)
         assert doc["alpha_measured"] == pytest.approx(1.0, abs=1e-6)
         assert doc["rows"] == 3
+
+    def test_unroutable_demand_exits_one(self, instance_file, capsys, monkeypatch):
+        # The matrix builders refuse disconnected graphs, so the routing call
+        # is handed one: each component balances within tolerance, but
+        # vertices 0 and 1 hold demand with no edge to send it along.
+        trapped = CapacitatedGraph(5, [(3, 4, 1)]), np.array([0.9e-9, 0.9e-9, -0.9e-9, -0.9e-9, 0.0])
+        routing = approximator.min_congestion_routing
+        monkeypatch.setattr(approximator, "min_congestion_routing", lambda g, d: routing(*trapped))
+        path = instance_file(PATH_INSTANCE)
+        code, out, err = run(capsys, ["measure-alpha", "--input", path, "--approximator", "exhaustive", "--trials", "2"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "no routing exists" in err
 
 
 def test_missing_subcommand_exits_one(capsys):

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from faircut import approximator, oracles
+from faircut.approximator import build_multi_tree, measure_alpha
 from faircut.graph import (
     CapacitatedGraph,
     ResidualView,
@@ -10,7 +14,7 @@ from faircut.graph import (
     st_demand,
     undirected_cut_value,
 )
-from faircut.generators import random_feasible_flow
+from faircut.generators import random_connected_graph, random_feasible_flow
 from faircut.oracles import (
     ALPHA_INTERVAL_REL,
     FairnessCertificate,
@@ -22,7 +26,7 @@ from faircut.oracles import (
     verify_fairness,
 )
 
-from conftest import brute_min_cut_value, brute_opt_congestion, small_graph
+from conftest import brute_min_cut_value, brute_opt_congestion, reference_routing, small_graph
 
 
 def path_2_1():
@@ -148,7 +152,100 @@ class TestMinCongestionRouting:
             opt, flow = min_congestion_routing(g, d)
             assert opt == pytest.approx(brute_opt_congestion(g, d), rel=1e-7, abs=1e-10)
             assert np.allclose(divergence(flow), d, atol=1e-7 * max(1, np.abs(d).sum()))
-            assert flow.congestion() <= opt * (1 + 1e-6) + 1e-12
+            assert flow.congestion() <= opt * (1 + 1e-9) + 1e-12
+
+    def test_tiny_optimum_is_exact(self):
+        # A bisection with an absolute 1e-18 stop answered 2**-60 here.
+        g = CapacitatedGraph(2, [(0, 1, 2**40)])
+        d = np.array([1e-8, -1e-8])
+        opt, flow = min_congestion_routing(g, d)
+        assert opt == pytest.approx(1e-8 / 2**40, rel=1e-12, abs=0)
+        assert np.allclose(divergence(flow), d, rtol=0, atol=1e-9 * 2e-8)
+        assert flow.congestion() <= opt * (1 + 1e-9)
+
+    def test_trapped_demand_rejected(self):
+        # Each component balances within the 1e-9 tolerance, yet vertices 0
+        # and 1 hold demand with no edge to send it along.
+        g = CapacitatedGraph(5, [(3, 4, 1)])
+        d = np.array([0.9e-9, 0.9e-9, -0.9e-9, -0.9e-9, 0.0])
+        with pytest.raises(ValueError, match="no routing exists"):
+            min_congestion_routing(g, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 10),
+        density=st.floats(1.0, 4.5),
+        max_cap=st.sampled_from([1, 9, 2**20, 2**40]),
+        kind=st.sampled_from(["st", "sparse", "dense"]),
+        scale=st.sampled_from([1e-6, 1.0, 1e3, 2.0**40]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_references(self, n, density, max_cap, kind, scale, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(n, int(min(n * (n - 1) // 2, round(density * n))), rng, max_cap=max_cap)
+        d = np.zeros(n)
+        if kind == "st":
+            s, t = rng.choice(n, size=2, replace=False)
+            d[s], d[t] = scale, -scale
+        else:
+            verts = rng.choice(n, size=n if kind == "dense" else int(rng.integers(2, min(n, 4) + 1)), replace=False)
+            vals = rng.normal(size=len(verts))
+            vals -= vals.mean()
+            d[verts] = vals * (2 * scale / np.abs(vals).sum())  # supply = scale
+        opt, flow = min_congestion_routing(g, d)
+        ref, _ = reference_routing(g, d)
+        if ref >= 1e-15:
+            assert opt == ref
+        assert opt == pytest.approx(brute_opt_congestion(g, d), rel=1e-12, abs=0)
+        assert np.allclose(divergence(flow), d, rtol=0, atol=1e-9 * np.abs(d).sum())
+        assert flow.congestion() <= opt * (1 + 1e-9)
+
+    def test_stalled_step_nudges_kappa(self, monkeypatch):
+        # The first solve reports nothing routed, so every vertex stays on the
+        # source side and the step finds no set beating kappa = 1/2, which is
+        # the optimum: the nudged attempt routes and kappa is returned.
+        real_solve = oracles._Dinic.solve
+        solves = []
+
+        def first_solve_fails(self, s, t, zero=0):
+            solves.append(s)
+            return 0.0 if len(solves) == 1 else real_solve(self, s, t, zero)
+
+        monkeypatch.setattr(oracles._Dinic, "solve", first_solve_fails)
+        g = CapacitatedGraph(2, [(0, 1, 4)])
+        opt, flow = min_congestion_routing(g, st_demand(2, 0, 1, 2.0))
+        assert len(solves) == 2
+        assert opt == 0.5
+        assert np.allclose(divergence(flow), [2.0, -2.0])
+
+    def test_stalled_step_raises_when_nudge_refused(self, monkeypatch):
+        # The violated set handed back is the positive-demand set itself,
+        # whose ratio 1/2 is kappa; the optimum is 1, so the nudge fails too.
+        monkeypatch.setattr(oracles._Dinic, "reachable", lambda self, s, zero=0: {s, 0})
+        with pytest.raises(RuntimeError, match=r"stalled at kappa=0\.5"):
+            min_congestion_routing(path_2_1(), st_demand(3, 0, 2, 1.0))
+
+    def test_max_flows_per_call_in_single_digits(self, monkeypatch):
+        g = random_connected_graph(100, 300, np.random.default_rng(7))
+        cuts = build_multi_tree(g, 8, seed=0)
+        real_solve, real_routing = oracles._Dinic.solve, approximator.min_congestion_routing
+        solves, per_call = [0], []
+
+        def counting_solve(self, s, t, zero=0):
+            solves[0] += 1
+            return real_solve(self, s, t, zero)
+
+        def counted_routing(g, d):
+            solves[0] = 0
+            out = real_routing(g, d)
+            per_call.append(solves[0])
+            return out
+
+        monkeypatch.setattr(oracles._Dinic, "solve", counting_solve)
+        monkeypatch.setattr(approximator, "min_congestion_routing", counted_routing)
+        measure_alpha(cuts, g, trials=8, seed=0)
+        assert len(per_call) == 8
+        assert max(per_call) <= 6, per_call
 
 
 class TestVerifyFairness:
