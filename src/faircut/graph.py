@@ -266,9 +266,6 @@ class FlowAssignment:
             return 0.0
         return float(np.max(self.values / self.graph.arc_caps))
 
-    def copy(self) -> "FlowAssignment":
-        return FlowAssignment(self.graph, self.values.copy())
-
     def scaled(self, factor: float) -> "FlowAssignment":
         if factor < 0:
             raise ValueError("flow scale must be nonnegative")

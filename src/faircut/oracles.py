@@ -1,14 +1,16 @@
 """Exact combinatorial oracles: max-flow, min-congestion routing, fairness.
 
 These certify the approximate pipeline at desk scale.  Max-flow is a Dinic
-(level graph + blocking flow) implementation; it is exact on integer
-capacities and works on float capacities with the global tolerance.  It is
-the package's one max-flow: :mod:`faircut.flowcut` warm-starts from it on
+(level graph + blocking flow) implementation built from arc arrays.  On
+integer capacities it runs in Python integers, so it is exact for every
+int64 capacity; on float capacities it works with the global tolerance.  It
+is the package's one max-flow: every caller hands it arc arrays and reads
+the flow back per arc, and :mod:`faircut.flowcut` warm-starts from it on
 residual views.  Minimum-congestion routing takes discrete Newton steps over
 the violated cuts of scaled max-flows and returns the exact optimum, a cut's
 demand-to-capacity ratio, in a few max-flows.  The fairness check reduces to
-a flow-with-lower-bounds feasibility problem and the minimal fairness factor
-is found by binary search.
+a flow-with-lower-bounds feasibility problem, laid out once per cut as
+arrays, and the minimal fairness factor is found by binary search.
 
 The per-arc fairness requirement is interpreted in the net sense: the
 witness must push at least ``c(u,v)/alpha`` net flow across every cut arc.
@@ -36,6 +38,7 @@ __all__ = [
     "FairnessCertificate",
     "FairnessRefusal",
     "max_flow_exact",
+    "maxflow_value",
     "min_congestion_routing",
     "min_fair_alpha",
     "verify_fairness",
@@ -46,32 +49,30 @@ ALPHA_INTERVAL_REL = 1e-6
 
 
 class _Dinic:
-    """Array-backed Dinic max-flow over an explicit directed arc list."""
+    """Dinic max-flow over a directed network given as arc arrays.
 
-    def __init__(self, n: int) -> None:
+    Arc k runs ``tails[k] -> heads[k]`` with capacity ``caps[k]``.  Its
+    residual arc has id ``2k`` and its reverse ``2k + 1``, which starts at a
+    zero of the capacities' dtype, so an integer network is solved in exact
+    Python integers.  Each vertex scans its residual arcs in ascending id.
+    :meth:`flow` reads the flow on every arc back after a solve.
+    """
+
+    def __init__(self, n: int, tails: np.ndarray, heads: np.ndarray, caps: np.ndarray) -> None:
         self.n = n
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list = []
+        self.caps = caps
+        owner = np.column_stack([tails, heads]).ravel()
+        to = np.column_stack([heads, tails]).ravel()
+        cap = np.column_stack([caps, np.zeros_like(caps)]).ravel()
+        arcs = np.argsort(owner, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
+        self.adj: list[list[int]] = [arcs[a:b] for a, b in zip([0, *ends], ends)]
+        self.to: list[int] = to.tolist()
+        self.cap: list = cap.tolist()
 
-    def add_arc(self, u: int, v: int, cap) -> int:
-        """Add arc u->v with the given capacity; returns its id."""
-        a = len(self.to)
-        self.adj[u].append(a)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[v].append(a + 1)
-        self.to.append(u)
-        self.cap.append(cap * 0)  # zero of the same numeric type
-        return a
-
-    def copy(self) -> "_Dinic":
-        """An independent solver with the same arcs and capacities."""
-        other = _Dinic(self.n)
-        other.adj = [list(arcs) for arcs in self.adj]
-        other.to = list(self.to)
-        other.cap = list(self.cap)
-        return other
+    def flow(self) -> np.ndarray:
+        """Flow on each arc k: its capacity minus its residual, in the capacities' dtype."""
+        return self.caps - np.array(self.cap[0::2], dtype=self.caps.dtype)
 
     def _bfs(self, s: int, zero) -> None:
         """Level of every vertex reachable from s over arcs above ``zero``; -1 elsewhere."""
@@ -137,20 +138,14 @@ class _Dinic:
         return {v for v, lvl in enumerate(self.level) if lvl >= 0}
 
 
-def _zero_for(graph_like) -> float:
-    if isinstance(graph_like, ResidualView):
-        return graph_like.graph.tolerance
-    return 0
-
-
 def max_flow_exact(
     g: Union[CapacitatedGraph, ResidualView], s: int, t: int
 ) -> tuple[float, FlowAssignment, VertexCut]:
     """Exact maximum (s,t)-flow with a minimum cut.
 
-    On a CapacitatedGraph the bidirected arcs are used and the value is
-    integral.  On a ResidualView the residual arc capacities are used.  When
-    s cannot reach t the value is 0 and the cut is s's reachable set.
+    On a CapacitatedGraph the bidirected arcs are used and the value is an
+    exact integer.  On a ResidualView the residual arc capacities are used.
+    When s cannot reach t the value is 0 and the cut is s's reachable set.
 
     Returns:
         (value, flow, mincut) where the flow is cancellation-free and
@@ -159,24 +154,16 @@ def max_flow_exact(
     if s == t:
         raise ValueError("source and sink must differ")
     if isinstance(g, CapacitatedGraph):
-        base, arc_caps = g, g.arc_caps
-        integral = True
+        base, arc_caps, zero = g, np.concatenate([g.caps, g.caps]), 0
     else:
-        base, arc_caps = g.graph, g.arc_caps
-        integral = False
+        base, arc_caps, zero = g.graph, g.arc_caps, g.graph.tolerance
 
     live = np.flatnonzero(arc_caps > 0)
-    caps = arc_caps[live].tolist()
-    if integral:
-        caps = [int(c) for c in caps]
-    solver = _Dinic(base.n)
-    for u, v, c in zip(base.tails[live].tolist(), base.heads[live].tolist(), caps):
-        solver.add_arc(u, v, c)
-    zero = _zero_for(g)
+    solver = _Dinic(base.n, base.tails[live], base.heads[live], arc_caps[live])
     value = solver.solve(s, t, zero=zero)
 
     used = np.zeros(base.num_arcs, dtype=np.float64)
-    used[live] = [c - left for c, left in zip(caps, solver.cap[::2])]  # live arc k has id 2k
+    used[live] = solver.flow()
     flow = FlowAssignment(base, used).cancel_antiparallel()
 
     reach = solver.reachable(s, zero=zero)
@@ -230,17 +217,14 @@ def min_congestion_routing(
     src, snk = g.n, g.n + 1
     feas_tol = 1e-12 * supply  # relative: float noise in the flow sums is far below this
 
-    tails, heads, arc_caps, demands = g.tails.tolist(), g.heads.tolist(), g.arc_caps.tolist(), d.tolist()
+    # The arcs of g, then one arc from src or into snk per vertex with demand.
+    ends = np.flatnonzero(d)
+    tails = np.concatenate([g.tails, np.where(d[ends] > 0, src, ends)])
+    heads = np.concatenate([g.heads, np.where(d[ends] > 0, ends, snk)])
+    demand_caps = np.abs(d[ends])
 
     def attempt(kappa: float):
-        solver = _Dinic(g.n + 2)
-        for u, v, c in zip(tails, heads, arc_caps):
-            solver.add_arc(u, v, kappa * c)
-        for v, dv in enumerate(demands):
-            if dv > 0:
-                solver.add_arc(src, v, dv)
-            elif dv < 0:
-                solver.add_arc(v, snk, -dv)
+        solver = _Dinic(g.n + 2, tails, heads, np.concatenate([kappa * g.arc_caps, demand_caps]))
         value = solver.solve(src, snk, zero=0.0)
         return value >= supply - feas_tol, solver
 
@@ -253,7 +237,7 @@ def min_congestion_routing(
             raise ValueError("demand is trapped in a set with no boundary capacity; no routing exists")
         return float(d[list(side)].sum()) / boundary
 
-    kappa = scale = ratio(frozenset(np.flatnonzero(d > 0).tolist()))
+    kappa = ratio(frozenset(np.flatnonzero(d > 0).tolist()))
     ok, solver = attempt(kappa)
     while not ok:
         side = frozenset(v for v in solver.reachable(src, zero=1e-12 * supply) if v < g.n)
@@ -261,17 +245,14 @@ def min_congestion_routing(
         if following <= kappa:
             # In exact arithmetic the violated set's ratio exceeds kappa; when
             # float noise says otherwise, kappa is the optimum up to that noise.
-            scale = kappa * (1.0 + 1e-10)
-            ok, solver = attempt(scale)
+            ok, solver = attempt(kappa * (1.0 + 1e-10))
             if not ok:
                 raise RuntimeError(f"congestion search stalled at kappa={kappa!r}")
             break
-        kappa = scale = following
+        kappa = following
         ok, solver = attempt(kappa)
 
-    # Arc a of g was added first, in order, so its forward id is 2a.
-    used = scale * g.arc_caps - np.asarray(solver.cap[: 2 * g.num_arcs : 2], dtype=np.float64)
-    flow = FlowAssignment(g, np.maximum(used, 0.0)).cancel_antiparallel()
+    flow = FlowAssignment(g, np.maximum(solver.flow()[: g.num_arcs], 0.0)).cancel_antiparallel()
     return kappa, flow
 
 
@@ -306,12 +287,12 @@ class FairnessRefusal:
 class _FairnessNetwork:
     """The lower-bound circulation network of one cut, for any alpha.
 
-    Arc ids, adjacency lists and the capacities of non-cut edges and of the
-    return arc do not depend on alpha, so they are laid out once.  Each
-    :meth:`check` copies that layout, sets the cut arcs to ``c - c/alpha``
-    and adds the auxiliary source and sink arcs of its alpha.  The arcs get
-    the same ids and order as in a network built for that alpha alone, so a
-    check's answer does not depend on the network being shared.
+    The arcs and their order do not depend on alpha, so they are laid out
+    once as arrays: per edge, a cut edge once, out of the cut side, and any
+    other edge ``u->v`` then ``v->u``; then the return arc ``t->s``.  Each
+    :meth:`check` lowers the cut arcs to ``c - c/alpha``, appends the
+    auxiliary source and sink arcs of its alpha and solves a fresh network,
+    so its answer does not depend on the layout being shared.
     """
 
     def __init__(self, g: CapacitatedGraph, cut: VertexCut) -> None:
@@ -325,51 +306,40 @@ class _FairnessNetwork:
         crossing = mask[g.us] != mask[g.vs]
         self.total_cap = float(g.caps.sum())
 
-        base = _Dinic(g.n + 2)
-        # (edge, arc_id, direction, capacity); cut arcs carry a placeholder
-        # capacity here and get ``c - c/alpha`` in each check.
-        self.edge_arcs: list[tuple[int, int, int, float]] = []
-        self.cut_arcs: list[tuple[int, int, int, float]] = []  # (arc_id, tail, head, capacity)
-        for e in range(g.m):
-            u, v, c = int(g.us[e]), int(g.vs[e]), float(g.caps[e])
-            if crossing[e]:
-                # Orient the single working arc out of the cut side with bounds
-                # [c/alpha, c]; the reverse direction is dropped so the lower
-                # bound constrains the net flow.
-                if not mask[u]:
-                    u, v = v, u
-                arc = base.add_arc(u, v, c)
-                self.cut_arcs.append((arc, u, v, c))
-                self.edge_arcs.append((e, arc, 0 if u == int(g.us[e]) else 1, c))
-            else:
-                self.edge_arcs.append((e, base.add_arc(u, v, c), 0, c))
-                self.edge_arcs.append((e, base.add_arc(v, u, c), 1, c))
-        self.return_arc = base.add_arc(t, s, self.total_cap + 1.0)
-        self.base = base
+        # Orient the single working arc of a cut edge out of the cut side with
+        # bounds [c/alpha, c]; the reverse direction is dropped so the lower
+        # bound constrains the net flow.
+        copies = np.where(crossing, 1, 2)
+        edge = np.repeat(np.arange(g.m), copies)
+        backward = np.ones(len(edge), dtype=bool)
+        backward[np.cumsum(copies) - copies] = crossing & ~mask[g.us]
+        # Index of each edge arc into the flow vector: arc e or its reverse e + m.
+        self.arc_index = edge + backward * g.m
+        self.tails = np.append(g.tails[self.arc_index], t)
+        self.heads = np.append(g.heads[self.arc_index], s)
+        self.caps = np.append(g.arc_caps[self.arc_index], self.total_cap + 1.0)
+        self.is_cut = np.append(crossing[edge], False)
+        # Endpoints that each cut arc's lower bound feeds and drains, head first.
+        self.cut_ends = np.column_stack([self.heads[self.is_cut], self.tails[self.is_cut]]).ravel()
 
     def check(self, alpha: float) -> Union[FairnessCertificate, FairnessRefusal]:
         """Decide alpha-fairness of the cut; see :func:`verify_fairness`."""
         g = self.g
-        solver = self.base.copy()
         aux_src, aux_snk = g.n, g.n + 1
 
+        lower = np.where(self.is_cut, self.caps / alpha, 0.0)
+        cut_lower = lower[self.is_cut]
         excess = np.zeros(g.n, dtype=np.float64)
-        lowers: dict[int, float] = {}
-        for arc, u, v, c in self.cut_arcs:
-            lower = c / alpha
-            solver.cap[arc] = c - lower
-            lowers[arc] = lower
-            excess[v] += lower
-            excess[u] -= lower
+        np.add.at(excess, self.cut_ends, np.column_stack([cut_lower, -cut_lower]).ravel())
+        need = sum(excess[excess > 0].tolist(), 0.0)
 
-        need = 0.0
-        for v in range(g.n):
-            if excess[v] > 0:
-                solver.add_arc(aux_src, v, float(excess[v]))
-                need += float(excess[v])
-            elif excess[v] < 0:
-                solver.add_arc(v, aux_snk, float(-excess[v]))
-
+        ends = np.flatnonzero(excess)
+        solver = _Dinic(
+            g.n + 2,
+            np.concatenate([self.tails, np.where(excess[ends] > 0, aux_src, ends)]),
+            np.concatenate([self.heads, np.where(excess[ends] > 0, ends, aux_snk)]),
+            np.concatenate([self.caps - lower, np.abs(excess[ends])]),
+        )
         value = solver.solve(aux_src, aux_snk, zero=0.0)
         feas_tol = 1e-11 * max(1.0, need)
         if value < need - feas_tol:
@@ -377,16 +347,13 @@ class _FairnessNetwork:
             blocking = frozenset(v for v in reach if v < g.n)
             return FairnessRefusal(alpha=alpha, blocking_set=blocking, deficit=need - value)
 
+        pushed = solver.flow()
+        k = len(self.arc_index)
         flow_vals = np.zeros(g.num_arcs, dtype=np.float64)
-        for e, arc, direction, c in self.edge_arcs:
-            lower = lowers.get(arc, 0.0)
-            upper = (c - lower) if lower else c
-            pushed = upper - solver.cap[arc]
-            flow_vals[e + direction * g.m] += max(0.0, pushed) + lower
+        flow_vals[self.arc_index] = np.maximum(pushed[:k], 0.0) + lower[:k]
         # Normalize non-cut edges so the witness is cancellation-free everywhere.
         flow = FlowAssignment(g, flow_vals).cancel_antiparallel()
-        tau = (self.total_cap + 1.0) - solver.cap[self.return_arc]
-        return FairnessCertificate(alpha=alpha, witness_flow=flow, value=float(tau))
+        return FairnessCertificate(alpha=alpha, witness_flow=flow, value=float(pushed[k]))
 
 
 def verify_fairness(

@@ -21,17 +21,17 @@ from faircut.graph import CapacitatedGraph, FlowAssignment, ResidualView, Vertex
 from faircut.oracles import _component_balanced, _Dinic
 
 
-def brute_min_cut_value(g: CapacitatedGraph, s: int, t: int) -> float:
-    """Minimum undirected boundary over all S with s in S, t outside."""
+def brute_min_cut_value(g: CapacitatedGraph, s: int, t: int) -> int:
+    """Minimum undirected boundary over all S with s in S, t outside, in exact integers."""
     others = [v for v in range(g.n) if v not in (s, t)]
     best = float("inf")
     for k in range(len(others) + 1):
         for extra in combinations(others, k):
             side = {s, *extra}
-            value = 0.0
+            value = 0
             for u, v, c in zip(g.us, g.vs, g.caps):
                 if (int(u) in side) != (int(v) in side):
-                    value += float(c)
+                    value += int(c)
             best = min(best, value)
     return best
 
@@ -159,17 +159,12 @@ def reference_routing(g: CapacitatedGraph, d: np.ndarray) -> tuple[float, FlowAs
 
     src, snk = g.n, g.n + 1
     feas_tol = 1e-12 * supply
-    tails, heads, arc_caps, demands = g.tails.tolist(), g.heads.tolist(), g.arc_caps.tolist(), d.tolist()
+    ends = np.flatnonzero(d)
+    tails = np.concatenate([g.tails, np.where(d[ends] > 0, src, ends)])
+    heads = np.concatenate([g.heads, np.where(d[ends] > 0, ends, snk)])
 
     def attempt(kappa):
-        solver = _Dinic(g.n + 2)
-        for u, v, c in zip(tails, heads, arc_caps):
-            solver.add_arc(u, v, kappa * c)
-        for v, dv in enumerate(demands):
-            if dv > 0:
-                solver.add_arc(src, v, dv)
-            elif dv < 0:
-                solver.add_arc(v, snk, -dv)
+        solver = _Dinic(g.n + 2, tails, heads, np.concatenate([kappa * g.arc_caps, np.abs(d[ends])]))
         return solver.solve(src, snk, zero=0.0) >= supply - feas_tol, solver
 
     violated = None
@@ -209,8 +204,7 @@ def reference_routing(g: CapacitatedGraph, d: np.ndarray) -> tuple[float, FlowAs
             ratio = float(d[list(violated)].sum()) / boundary
             if ratio >= lo * (1.0 - 1e-12):
                 opt = ratio
-    used = hi * g.arc_caps - np.asarray(solver.cap[: 2 * g.num_arcs : 2], dtype=np.float64)
-    return opt, FlowAssignment(g, np.maximum(used, 0.0)).cancel_antiparallel()
+    return opt, FlowAssignment(g, np.maximum(solver.flow()[: g.num_arcs], 0.0)).cancel_antiparallel()
 
 
 def reference_kruskal(n: int, us, vs, keys) -> set[int]:

@@ -63,6 +63,34 @@ def near_min_cut(g, s, t, rng):
     return VertexCut(mincut.side ^ {int(rng.choice(movable))}, s, t)
 
 
+class TestDinic:
+    # Arcs listed out of vertex order, with an antiparallel pair between 0 and 1.
+    TAILS, HEADS = np.array([2, 0, 1, 0, 1]), np.array([3, 1, 2, 2, 0])
+
+    @pytest.mark.parametrize("caps", [np.array([3, 2, 2, 1, 4]), np.array([3.0, 2.5, 2.0, 1.0, 4.0])])
+    def test_layout_and_flow(self, caps):
+        tails, heads = self.TAILS, self.HEADS
+        solver = oracles._Dinic(4, tails, heads, caps)
+        # Residual arc 2k is arc k, leaving tails[k]; 2k + 1 is its reverse, leaving heads[k].
+        owner = [int(v) for pair in zip(tails, heads) for v in pair]
+        for v in range(4):
+            assert solver.adj[v] == [a for a in range(2 * len(caps)) if owner[a] == v]
+        assert solver.to == [int(v) for pair in zip(heads, tails) for v in pair]
+        zero = caps.dtype.type(0).item()
+        assert solver.cap == [c for cap in caps.tolist() for c in (cap, zero)]
+        assert {type(c) for c in solver.cap} == {type(zero)}
+
+        assert solver.solve(0, 3) == 3
+        flow = solver.flow()
+        assert flow.dtype == caps.dtype
+        # Arc k is left with its capacity minus its flow, and its reverse with the flow.
+        assert solver.cap == [c for cap, f in zip(caps.tolist(), flow.tolist()) for c in (cap - f, f)]
+        net = np.zeros(4, dtype=caps.dtype)
+        np.add.at(net, tails, flow)
+        np.add.at(net, heads, -flow)
+        assert net.tolist() == [3, 0, 0, -3]
+
+
 class TestMaxFlow:
     def test_path_value_and_mincut(self):
         # Hand augmenting: one unit along s-a-t, bottleneck at (a,t).
@@ -103,6 +131,33 @@ class TestMaxFlow:
             assert flow.congestion() <= 1 + 1e-12
             assert net_flow_across(flow, cut) == pytest.approx(value)
             assert undirected_cut_value(g, cut) == pytest.approx(value)
+
+    @pytest.mark.parametrize(
+        "edges, t, expected",
+        [
+            ([(0, 1, 2**60 + 1), (1, 2, 2**60 + 3)], 2, 2**60 + 1),
+            ([(0, 1, 2**53 + 1), (0, 2, 1), (1, 3, 2**53 + 1), (2, 3, 1)], 3, 2**53 + 2),
+        ],
+    )
+    def test_exact_above_float_precision(self, edges, t, expected):
+        # float64 rounds these capacities, and with them the flow value.
+        value, _, _ = max_flow_exact(CapacitatedGraph(t + 1, edges), 0, t)
+        assert value == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_exact_over_int64(self, data):
+        n = data.draw(st.integers(2, 7))
+        pairs = data.draw(st.lists(st.sampled_from([(u, v) for u in range(n) for v in range(u + 1, n)]), unique=True))
+        # Odd capacities above 2**53 have no exact float64; Hypothesis rarely draws them alone.
+        cap = st.one_of(st.integers(1, 2**62), st.integers(2**52, 2**61 - 1).map(lambda h: 2 * h + 1))
+        caps = data.draw(st.lists(cap, min_size=len(pairs), max_size=len(pairs)))
+        s, t = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        g = CapacitatedGraph(n, [(u, v, c) for (u, v), c in zip(pairs, caps)])
+        value, _, cut = max_flow_exact(g, s, t)
+        assert value == brute_min_cut_value(g, s, t)
+        assert s in cut.side and t not in cut.side
+        assert sum(c for u, v, c in g.edge_list() if (u in cut.side) != (v in cut.side)) == value
 
     def test_on_residual_view(self, rng):
         g = small_graph(rng)
