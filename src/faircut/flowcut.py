@@ -11,9 +11,10 @@ congestion vector ``x`` in [0,1]^arcs whose divergence meets the demand on
 every scaled row within the slack.  The saddle solver runs multiplicative
 weights over the scaled rows and their negations.  Its averaged weights
 give one signed weight per row, and the pullback of that signed vector is
-a vertex potential; a potential with a positive certificate margin always
-admits a violating threshold prefix, which the sweep in
-:func:`threshold_cut` extracts in O(m + n log n).
+a vertex potential.  Every round sweeps that potential with
+:func:`threshold_cut`, in O(m + n log n): a decreasing-potential prefix
+whose demand beats its residual boundary is itself the certificate, and
+the loop's only dual exit.
 
 The solver is warm-started from the exact residual max-flow of
 :func:`faircut.oracles.max_flow_exact`, the package's one max-flow.  A
@@ -21,9 +22,9 @@ max-flow of 0 means t is unreachable, and its min cut is returned at once.
 When the max-flow already reaches ``tau``, the scaled warm flow routes the
 whole demand, so the call returns it without building the cut matrix or
 entering the loop.  Otherwise the matrix is built and the loop runs from
-the warm start; on unroutable instances the weight pullback or a single
-matrix row certifies a cut within a few rounds, and the loop
-remains the authority for every cut certificate it emits.
+the warm start; on unroutable instances the swept pullback certifies a cut
+within a few rounds.  Should the budget run out first, the max-flow's
+min-cut side is swept as the one salvage potential.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .approximator import CutMatrix, row_boundary_values
+from .approximator import CutMatrix
 from .graph import (
     FlowAssignment,
     ResidualView,
@@ -66,11 +67,11 @@ EPSILON_SHRINK = 4.0
 
 
 class ThresholdCutError(RuntimeError):
-    """No violating prefix exists; the potential precondition was not met."""
+    """No decreasing-potential prefix has demand above its boundary."""
 
 
 class SolverExhausted(RuntimeError):
-    """Budget expired without a primal point or a usable dual potential."""
+    """Budget expired without a primal point or a violating cut."""
 
     def __init__(self, message: str, iterations: int, best_gap: float) -> None:
         super().__init__(message)
@@ -149,57 +150,32 @@ class PrimalCertificate:
 
 @dataclass
 class DualWitness:
-    """Signed row weights certifying infeasibility.
+    """Signed row weights whose pullback sweeps to a violating prefix.
 
     ``y`` holds one weight per cut-matrix row: positive where the demand
     inside the row outruns the residual capacity leaving it, negative where
     the demand outside outruns the capacity entering it.  ``potential`` is
-    ``scaled_pullback(y)``; its certificate margin is positive, so it is
-    positive against ``demand - operator(x)`` for every ``x`` in [0,1]^arcs.
+    ``scaled_pullback(y)``, and ``side`` is the prefix that
+    :func:`threshold_cut` returned for it: its demand exceeds its residual
+    boundary, so no ``x`` in [0,1]^arcs meets the demand.
     """
 
     y: np.ndarray
     potential: np.ndarray
+    side: frozenset[int]
     iterations: int
 
 
 @dataclass
 class ExhaustedOutcome:
-    """Budget ran out.
+    """Budget ran out: ``best_x`` is the best primal point seen, with gap ``best_gap``."""
 
-    ``y`` holds the averaged signed row weights (all zero for a zero
-    budget); ``best_x`` is the best primal point seen, with gap ``best_gap``.
-    """
-
-    y: np.ndarray
     best_x: np.ndarray
     best_gap: float
     iterations: int
 
 
 SaddleOutcome = Union[PrimalCertificate, DualWitness, ExhaustedOutcome]
-
-
-def _margin_terms(problem: ReducedProblem, phi: np.ndarray) -> tuple[float, float]:
-    """``phi . d`` and ``sum_a c'_a * max(0, drop along a)``."""
-    saturated = float(np.maximum(problem.adjoint(phi), 0.0).sum())
-    return float(phi @ problem.demand), saturated
-
-
-def potential_margin(problem: ReducedProblem, phi: np.ndarray) -> float:
-    """Certificate value ``phi . d  -  sum_a c'_a * max(0, drop along a)``.
-
-    A strictly positive margin guarantees a threshold prefix whose demand
-    exceeds its residual boundary.  It also bounds ``phi . (d - operator(x))``
-    from below for every ``x`` in [0,1]^arcs.
-    """
-    value, saturated = _margin_terms(problem, phi)
-    return value - saturated
-
-
-def _margin_ok(problem: ReducedProblem, phi: np.ndarray) -> bool:
-    value, saturated = _margin_terms(problem, phi)
-    return value - saturated > 1e-10 * max(1.0, abs(value), saturated)
 
 
 def saddle_solve(
@@ -212,13 +188,12 @@ def saddle_solve(
 
     The experts are the scaled rows and their negations; at congestion
     vector ``x`` row ``i`` loses ``u_i`` and its negation ``-u_i``, where
-    ``u = scaled_rows(operator(x) - demand)``.  Each round plays the
-    best-response congestion vector against the current weights, checks the
-    running primal average (and the warm start) against the slack, and
-    tests whether the averaged signed weights ``y = avg_minus - avg_plus``
-    pull back to a potential with a positive certificate margin.  The first
-    round also scans every matrix row directly: any row whose demand excess
-    beats its residual boundary is itself a valid witness.
+    ``u = scaled_rows(operator(x) - demand)``.  Each round checks the
+    running primal average (and the warm start) against the slack, updates
+    the weights, sweeps the pullback of the averaged signed weights
+    ``y = avg_minus - avg_plus`` with :func:`threshold_cut`, and then plays
+    the best-response congestion vector.  A violating sweep prefix ends the
+    loop as a DualWitness.
 
     Returns:
         PrimalCertificate, DualWitness, or ExhaustedOutcome when the budget
@@ -238,7 +213,7 @@ def saddle_solve(
     best_x = x0
     best_gap = problem.primal_gap(x0)
     if budget == 0:
-        return ExhaustedOutcome(np.zeros(r, dtype=np.float64), best_x, best_gap, 0)
+        return ExhaustedOutcome(best_x, best_gap, 0)
 
     loss_sum = np.zeros((2, r), dtype=np.float64)  # row order: plus, minus
     weight_sum = np.zeros((2, r), dtype=np.float64)
@@ -264,13 +239,10 @@ def saddle_solve(
         avg = weight_sum / t
         y = avg[1] - avg[0]
         phi = problem.scaled_pullback(y)
-        if _margin_ok(problem, phi):
-            return DualWitness(y, phi, t)
-
-        if t == 1:
-            witness = _scan_rows(problem, t)
-            if witness is not None:
-                return witness
+        try:
+            return DualWitness(y, phi, threshold_cut(problem.residual, phi, problem.demand).side, t)
+        except ThresholdCutError:
+            pass
 
         x_t = (problem.adjoint(problem.scaled_pullback(p[0] - p[1])) < 0).astype(np.float64)
         xbar += (x_t - xbar) / t
@@ -281,35 +253,7 @@ def saddle_solve(
 
     if best_gap <= eps_over_alpha:
         return PrimalCertificate(best_x, best_gap, budget)
-    avg = weight_sum / budget
-    return ExhaustedOutcome(avg[1] - avg[0], best_x, best_gap, budget)
-
-
-def _scan_rows(problem: ReducedProblem, iterations: int) -> Optional[DualWitness]:
-    """Test every cut-matrix row as a one-row dual witness.
-
-    A row certifies infeasibility when the demand inside it exceeds the
-    residual capacity leaving it (``y = +1`` on the row), or when the demand
-    outside it exceeds the residual capacity entering it (``y = -1``).
-    Returns a witness built from the best-margin row, preferring the
-    outgoing side; None when no row has positive margin.
-    """
-    cuts = problem.cuts
-    if not cuts.row_count:
-        return None
-    delta = np.asarray(cuts.indicator @ problem.demand).ravel()
-    out_bound, in_bound = row_boundary_values(cuts, problem.residual)
-    scale = np.maximum(1.0, np.maximum(np.abs(delta), np.maximum(out_bound, in_bound)))
-    y = np.zeros(cuts.row_count, dtype=np.float64)
-    for sign, margin in ((1.0, (delta - out_bound) / scale), (-1.0, (-delta - in_bound) / scale)):
-        row = int(np.argmax(margin))
-        if margin[row] > 1e-10:
-            y[row] = sign
-            phi = problem.scaled_pullback(y)
-            if _margin_ok(problem, phi):
-                return DualWitness(y, phi, iterations)
-            y[row] = 0.0
-    return None
+    return ExhaustedOutcome(best_x, best_gap, budget)
 
 
 def threshold_cut(
@@ -317,41 +261,39 @@ def threshold_cut(
 ) -> VertexCut:
     """First decreasing-potential prefix whose demand beats its boundary.
 
-    Vertices are sorted by decreasing ``phi`` with ties broken by vertex id;
-    the sweep maintains the prefix demand and the directed boundary value
-    incrementally and returns the first proper prefix ``S`` with
-    ``sum(d[S]) > boundary(S)``.  When ``d`` routes ``tau`` units from a
-    source to a sink, the returned prefix is an (s,t)-cut of value below
-    ``tau``.
+    Vertices are sorted by decreasing ``phi`` with ties broken by vertex id.
+    Arc ``a`` leaves prefix ``k`` (the first ``k + 1`` vertices) exactly when
+    ``rank[tail] <= k < rank[head]``, so every prefix boundary is one
+    cumulative sum over arc-endpoint ranks.  Returns the first proper
+    prefix ``S`` with ``sum(d[S]) > boundary(S)``.  Such a prefix is a
+    certificate on its own: no ``x`` in [0,1]^arcs routes ``d``.  When ``d``
+    routes ``tau`` units from a source to a sink, it is an (s,t)-cut of
+    value below ``tau``.  A boundary is never negative, so the running sum
+    is clipped at zero: float cancellation in it cannot make a prefix of
+    zero demand violate.
+
+    ``view`` is a ResidualView or a CapacitatedGraph; only its ``n``,
+    ``tails``, ``heads`` and ``arc_caps`` are read.
 
     Raises:
-        ThresholdCutError: when no prefix violates (the potential did not
-            satisfy the positive-margin precondition).
+        ThresholdCutError: when no proper prefix violates.
     """
-    graph = view.graph
-    n = graph.n
+    n = view.n
     phi = np.asarray(phi, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
     order = np.lexsort((np.arange(n), -phi))
-    caps = view.arc_caps
-    heads, tails = graph.heads, graph.tails
-    in_side = np.zeros(n, dtype=bool)
-    delta = 0.0
-    boundary = 0.0
-    for k in range(n - 1):
-        v = int(order[k])
-        in_side[v] = True
-        delta += float(d[v])
-        for a in graph.out_arcs(v):
-            if not in_side[heads[a]]:
-                boundary += caps[a]
-        for a in graph.in_arcs(v):
-            if in_side[tails[a]]:
-                boundary -= caps[a]
-        if delta > boundary:
-            side = frozenset(int(x) for x in order[: k + 1])
-            return VertexCut(side, source=source, sink=sink)
-    raise ThresholdCutError("no violating prefix; potential margin was not positive")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    tail_rank, head_rank = rank[view.tails], rank[view.heads]
+    leaving = tail_rank < head_rank
+    caps = view.arc_caps[leaving]
+    step = np.bincount(tail_rank[leaving], weights=caps, minlength=n)
+    step -= np.bincount(head_rank[leaving], weights=caps, minlength=n)
+    boundary = np.maximum(np.cumsum(step[: n - 1]), 0.0)
+    hits = np.flatnonzero(np.cumsum(d[order[: n - 1]]) > boundary)
+    if not hits.size:
+        raise ThresholdCutError("no decreasing-potential prefix has demand above its boundary")
+    return VertexCut(frozenset(order[: hits[0] + 1].tolist()), source=source, sink=sink)
 
 
 @dataclass
@@ -405,9 +347,9 @@ def flow_or_cut(
 
     Raises:
         ValueError: ``tau <= 0``, ``eps`` outside ``(0, 1/2)``, or s == t.
-        SolverExhausted: the saddle budget expired and no salvage potential
-            produced a valid cut (the caller may raise the budget or switch
-            the cut matrix).
+        SolverExhausted: the saddle budget expired and the sweep of the
+            warm flow's min-cut side gave no cut below ``tau`` (the caller
+            may raise the budget or switch the cut matrix).
     """
     if tau <= 0:
         raise ValueError(f"threshold must be positive, got {tau}")
@@ -458,29 +400,24 @@ def flow_or_cut(
         )
 
     if isinstance(outcome, DualWitness):
-        cut = threshold_cut(residual, outcome.potential, demand, source=s, sink=t)
+        cut = VertexCut(outcome.side, source=s, sink=t)
         value = directed_cut_value(residual, cut)
         if value >= tau:
             raise RuntimeError("threshold sweep returned a cut at or above tau; dual was invalid")
         return CutResult(cut=cut, value=value, iterations=outcome.iterations, via="threshold-cut", witness=outcome)
 
-    # Budget expired: test the averaged weight pullback, then the warm
-    # flow's min-cut side, as salvage potentials.
-    candidates = [problem.scaled_pullback(outcome.y)]
+    # Budget expired: sweep the warm flow's min-cut side.
     if maxflow < tau:
-        phi_ws = np.zeros(graph.n, dtype=np.float64)
-        phi_ws[list(mincut.side)] = 1.0
-        candidates.append(phi_ws)
-    for phi in candidates:
-        if not _margin_ok(problem, phi):
-            continue
+        phi = np.zeros(graph.n, dtype=np.float64)
+        phi[list(mincut.side)] = 1.0
         try:
             cut = threshold_cut(residual, phi, demand, source=s, sink=t)
         except ThresholdCutError:
-            continue
-        value = directed_cut_value(residual, cut)
-        if value < tau:
-            return CutResult(cut=cut, value=value, iterations=outcome.iterations, via="salvage")
+            pass
+        else:
+            value = directed_cut_value(residual, cut)
+            if value < tau:
+                return CutResult(cut=cut, value=value, iterations=outcome.iterations, via="salvage")
     raise SolverExhausted(
         f"saddle budget {budget} expired with primal gap {outcome.best_gap:.3g} above {slack:.3g}",
         iterations=outcome.iterations,

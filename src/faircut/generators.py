@@ -90,7 +90,7 @@ def random_feasible_flow(
         found = False
         while queue and not found:
             u = queue.pop(0)
-            for arc in graph.out_arcs(u):
+            for arc in np.flatnonzero(graph.tails == u):
                 v = int(graph.heads[arc])
                 if parent_arc[v] == -1 and residual[arc] > 1e-9:
                     parent_arc[v] = arc

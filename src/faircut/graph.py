@@ -41,10 +41,10 @@ class CapacitatedGraph:
     """Immutable undirected graph with positive integer edge capacities.
 
     Parallel input edges are merged by summing capacities and self-loops are
-    rejected, so the stored edge list is simple.  The constructor builds
-    CSR-style adjacency indexes over the bidirected arc set for O(deg)
-    neighborhood scans.  Instances never mutate after construction and are
-    safe to share across threads.
+    rejected, so the stored edge list is simple.  Every capacity, merged
+    ones included, must fit in int64.  The graph is stored as flat edge and
+    arc arrays only, with no adjacency index.  Instances never mutate after
+    construction and are safe to share across threads.
 
     Args:
         vertex_count: number of vertices ``n``; ids are ``0 .. n-1``.
@@ -75,10 +75,11 @@ class CapacitatedGraph:
                 raise ValueError(f"edge ({u},{v}) capacity {c} exceeds bound {max_capacity}")
             key = (u, v) if u < v else (v, u)
             merged[key] = merged.get(key, 0) + c
-        if max_capacity is not None:
-            for (u, v), c in merged.items():
-                if c > max_capacity:
-                    raise ValueError(f"merged edge ({u},{v}) capacity {c} exceeds bound {max_capacity}")
+        for (u, v), c in merged.items():
+            if max_capacity is not None and c > max_capacity:
+                raise ValueError(f"merged edge ({u},{v}) capacity {c} exceeds bound {max_capacity}")
+            if c > 2**63 - 1:
+                raise ValueError(f"edge ({u},{v}) capacity {c}, parallel edges summed, exceeds int64 max 2**63 - 1")
 
         items = sorted(merged.items())
         self.m = len(items)
@@ -90,18 +91,6 @@ class CapacitatedGraph:
         self.tails = np.concatenate([self.us, self.vs])
         self.heads = np.concatenate([self.vs, self.us])
         self.arc_caps = np.concatenate([self.caps, self.caps]).astype(np.float64)
-
-        order = np.argsort(self.tails, kind="stable")
-        self._out_arcs = order.astype(np.int64)
-        self._out_indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(self._out_indptr, self.tails + 1, 1)
-        np.cumsum(self._out_indptr, out=self._out_indptr)
-
-        order = np.argsort(self.heads, kind="stable")
-        self._in_arcs = order.astype(np.int64)
-        self._in_indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(self._in_indptr, self.heads + 1, 1)
-        np.cumsum(self._in_indptr, out=self._in_indptr)
 
         self._arc_lookup: Optional[dict[tuple[int, int], int]] = None
 
@@ -141,14 +130,6 @@ class CapacitatedGraph:
 
     def edge_of_arc(self, a) -> int:
         return a % self.m
-
-    def out_arcs(self, v: int) -> np.ndarray:
-        """Arc ids with tail v."""
-        return self._out_arcs[self._out_indptr[v] : self._out_indptr[v + 1]]
-
-    def in_arcs(self, v: int) -> np.ndarray:
-        """Arc ids with head v."""
-        return self._in_arcs[self._in_indptr[v] : self._in_indptr[v + 1]]
 
     def arc_index(self, u: int, v: int) -> int:
         """Arc id of u->v; raises KeyError when the edge does not exist."""

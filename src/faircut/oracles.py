@@ -405,7 +405,7 @@ def min_fair_alpha(g: CapacitatedGraph, cut: VertexCut) -> float:
     return float(hi)
 
 
-def maxflow_value(g: CapacitatedGraph, s: int, t: int) -> float:
-    """Convenience wrapper returning only the exact max-flow value."""
+def maxflow_value(g: CapacitatedGraph, s: int, t: int) -> int:
+    """Convenience wrapper returning only the exact max-flow value, an integer."""
     value, _, _ = max_flow_exact(g, s, t)
-    return float(value)
+    return value

@@ -11,6 +11,7 @@ bisection over the library's max-flow, to check its Newton steps.
 
 import functools
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -61,6 +62,38 @@ def brute_directed_cut(tails, heads, caps, side: set, n: int) -> float:
         if int(tails[a]) in side and int(heads[a]) not in side:
             total += float(caps[a])
     return total
+
+
+def reference_sweep(view, phi, d) -> tuple[Optional[frozenset], list[tuple[float, float]]]:
+    """Decreasing-potential prefix sweep, one vertex at a time.
+
+    Vertices are taken by decreasing ``phi``, ties by id.  Each step adds the
+    vertex's demand, then updates the boundary over its out-arcs and in-arcs
+    in ascending arc id.  Returns ``(side, trail)``: the first proper prefix
+    whose demand exceeds its boundary (None when there is none), and the
+    ``(demand, boundary)`` pair of every prefix examined.
+    """
+    n = view.n
+    tails, heads, caps = view.tails, view.heads, view.arc_caps
+    order = np.lexsort((np.arange(n), -np.asarray(phi, dtype=np.float64)))
+    in_side = np.zeros(n, dtype=bool)
+    delta = 0.0
+    boundary = 0.0
+    trail = []
+    for k in range(n - 1):
+        v = int(order[k])
+        in_side[v] = True
+        delta += float(d[v])
+        for a in np.flatnonzero(tails == v):
+            if not in_side[heads[a]]:
+                boundary += caps[a]
+        for a in np.flatnonzero(heads == v):
+            if in_side[tails[a]]:
+                boundary -= caps[a]
+        trail.append((delta, boundary))
+        if delta > boundary:
+            return frozenset(int(x) for x in order[: k + 1]), trail
+    return None, trail
 
 
 def bfs_components(n: int, us, vs, active=None) -> list[frozenset]:

@@ -58,6 +58,15 @@ class TestSolve:
         code, _, err = run(capsys, ["solve", "--input", path])
         assert code == 1 and "line" in err
 
+    @pytest.mark.parametrize(
+        "arcs", [["a 1 2 9223372036854775808"], ["a 1 2 4611686018427387904", "a 2 1 4611686018427387904"]]
+    )
+    def test_capacity_above_int64_exits_one(self, instance_file, capsys, arcs):
+        path = instance_file("\n".join([f"p max 2 {len(arcs)}", "n 1 s", "n 2 t", *arcs, ""]))
+        code, out, err = run(capsys, ["solve", "--input", path])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "2**63 - 1" in err
+
     def test_same_seed_same_document(self, instance_file, capsys, rng):
         g = random_connected_graph(20, 50, rng, max_cap=30)
         path = instance_file(serialize_dimacs(g, 0, 19))

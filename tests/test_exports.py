@@ -1,6 +1,7 @@
-"""Every name a ``faircut`` module lists in ``__all__`` exists in that module."""
+"""Every name a ``faircut`` module lists in ``__all__``, or the benchmark tracer wraps, exists."""
 
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -19,3 +20,12 @@ def test_exported_names_resolve(name):
     module = importlib.import_module(f"faircut.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, f"faircut.{name}.__all__ names missing attributes: {missing}"
+
+
+def test_traced_boundaries_resolve(monkeypatch):
+    # The benchmark's --trace runs wrap these names; a deleted one would only
+    # fail there.
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    missing = [(owner.__name__, attr) for owner, attr, _, _ in tracer.BOUNDARIES if not hasattr(owner, attr)]
+    assert not missing, f"traced boundaries missing: {missing}"

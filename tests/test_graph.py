@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,12 @@ class TestCapacitatedGraph:
     def test_capacity_bound_enforced(self):
         with pytest.raises(ValueError, match="exceeds bound"):
             CapacitatedGraph(2, [(0, 1, 7)], max_capacity=5)
+
+    @pytest.mark.parametrize("edges", [[(0, 1, 2**63)], [(0, 1, 2**62), (1, 0, 2**62)]])
+    def test_capacity_above_int64_names_the_limit(self, edges):
+        with pytest.raises(ValueError, match=re.escape("2**63 - 1")):
+            CapacitatedGraph(2, edges)
+        CapacitatedGraph(2, [(0, 1, 2**63 - 1)])
 
     def test_arc_layout(self):
         g = path_2_1()

@@ -141,8 +141,10 @@ class TestMaxFlow:
     )
     def test_exact_above_float_precision(self, edges, t, expected):
         # float64 rounds these capacities, and with them the flow value.
-        value, _, _ = max_flow_exact(CapacitatedGraph(t + 1, edges), 0, t)
+        g = CapacitatedGraph(t + 1, edges)
+        value, _, _ = max_flow_exact(g, 0, t)
         assert value == expected
+        assert oracles.maxflow_value(g, 0, t) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
