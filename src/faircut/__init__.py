@@ -15,7 +15,6 @@ from .approximator import (
 )
 from .dimacs import DimacsError, DimacsInstance, parse_dimacs, serialize_dimacs
 from .driver import (
-    DriverAborted,
     FairCutResult,
     IterationRecord,
     IterationState,
@@ -29,7 +28,6 @@ from .flowcut import (
     FlowResult,
     PrimalCertificate,
     ReducedProblem,
-    SolverExhausted,
     ThresholdCutError,
     flow_or_cut,
     reduce_problem,

@@ -251,20 +251,27 @@ def _tree_rows(g: CapacitatedGraph, tree_edges: np.ndarray):
                 parent[w], parent_edge[w], depth[w] = v, e, depth[v] + 1
                 stack.append((w, v, False))
 
-    caps = g.caps.astype(np.float64)
     # Per vertex: weighted degree, less twice each edge whose endpoints'
-    # deepest common ancestor it is (edge order, as the identity sums them).
-    load = np.zeros(n, dtype=np.float64)
-    np.add.at(load, g.us, caps)
-    np.add.at(load, g.vs, caps)
-    np.subtract.at(load, _common_ancestors(np.asarray(parent), np.asarray(depth), g.us, g.vs), 2.0 * caps)
-    subtree_sum = load.tolist()
+    # deepest common ancestor it is.  Float sums would cancel a small cut
+    # edge against a large one, so the identity is summed exactly: in int64
+    # over the high and the low 31 bits of each capacity, then as Python
+    # integers, which cannot overflow.
+    ancestors = _common_ancestors(np.asarray(parent), np.asarray(depth), g.us, g.vs)
+    halves = []
+    for part in (g.caps >> 31, g.caps & (2**31 - 1)):
+        load = np.zeros(n, dtype=np.int64)
+        np.add.at(load, g.us, part)
+        np.add.at(load, g.vs, part)
+        np.subtract.at(load, ancestors, 2 * part)
+        halves.append(load.tolist())
+    subtree_sum = [(high << 31) + low for high, low in zip(*halves)]
     for v in reversed(preorder[1:]):
         subtree_sum[parent[v]] += subtree_sum[v]
 
     order = np.asarray(preorder, dtype=np.int64)
     row_roots = order[1:]
     crossing = np.asarray(subtree_sum, dtype=np.float64)[row_roots]
+    caps = g.caps.astype(np.float64)
     stretch = float(np.max(crossing / caps[np.asarray(parent_edge)[row_roots]], initial=0.0))
     # Row i is the preorder slice [i + 1, tout[row_roots[i]]).
     sizes = np.asarray(tout, dtype=np.int64)[row_roots] - np.arange(1, n)

@@ -1,8 +1,9 @@
 """Command-line surface: solve / verify / bench / measure-alpha.
 
-Exit codes: 0 success, 1 parse/argument errors, 2 solver budget exhaustion,
-3 fairness verification refused.  Diagnostics go to stderr; results go to
-stdout as JSON (solve, measure-alpha), plain text (verify), or CSV (bench).
+Exit codes: 0 success, 1 parse/argument errors (a capacity above int64, a
+negative budget), 3 fairness verification refused.  Diagnostics go to
+stderr; results go to stdout as JSON (solve, measure-alpha), plain text
+(verify), or CSV (bench).
 Set ``FAIRCUT_LOG`` to ``error``/``info``/``debug`` to control logging.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .approximator import measure_alpha, resolve_builder
 from .dimacs import DimacsError, parse_dimacs
-from .driver import DriverAborted, FairCutResult, fair_cut
+from .driver import FairCutResult, fair_cut
 from .generators import bench_instance
 from .graph import CapacitatedGraph, VertexCut, undirected_cut_value
 from .oracles import FairnessCertificate, maxflow_value, verify_fairness
@@ -116,11 +117,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             budget=args.budget,
             certify=args.verify,
         )
-    except DriverAborted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for rec in exc.trace:
-            print(f"  iter {rec.index}: potential {rec.potential:.6g} branch {rec.branch}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

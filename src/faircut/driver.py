@@ -17,7 +17,6 @@ is then measured exactly by the oracle.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -26,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .approximator import CutMatrix, resolve_builder
-from .flowcut import FlowResult, SolverExhausted, flow_or_cut
+from .flowcut import FlowResult, flow_or_cut
 from .graph import (
     CapacitatedGraph,
     FlowAssignment,
@@ -38,7 +37,6 @@ from .graph import (
 from .oracles import min_fair_alpha
 
 __all__ = [
-    "DriverAborted",
     "FairCutResult",
     "IterationRecord",
     "IterationState",
@@ -58,14 +56,6 @@ CONTRACTION = 0.75
 DEFAULT_BUDGET = 400
 
 Builder = Callable[[CapacitatedGraph, Optional[int]], CutMatrix]
-
-
-class DriverAborted(RuntimeError):
-    """The primitive exhausted its budget twice; carries the trace so far."""
-
-    def __init__(self, message: str, trace: list["IterationRecord"]) -> None:
-        super().__init__(message)
-        self.trace = trace
 
 
 @dataclass
@@ -174,7 +164,6 @@ def iterate_once(
     builder: Builder,
     budget: int = DEFAULT_BUDGET,
     seed: Optional[int] = None,
-    debug: bool = False,
 ) -> tuple[IterationState, IterationRecord]:
     """One driver round: call the primitive, grow the flow or move the cut.
 
@@ -185,8 +174,7 @@ def iterate_once(
     cut matrix is built by ``builder`` on that component's subgraph, and
     its rows lifted to the input's vertex ids, only if the primitive asks
     for it (the warm-start max-flow did not reach the threshold), at most
-    once per round.  On budget exhaustion the primitive is retried once
-    with four times the budget, on the same matrix.
+    once per round.
     """
     graph = state.graph
     s, t = state.cut.source, state.cut.sink
@@ -204,11 +192,8 @@ def iterate_once(
     else:
         active = state.residual.active_edges & in_comp[graph.us]
         residual = ResidualView(graph, state.flow, active)
-        cuts = functools.cache(lambda: _component_matrix(graph, in_comp, active, builder, seed))
-        try:
-            result = flow_or_cut(residual, s, t, tau, eps, cuts, budget)
-        except SolverExhausted:
-            result = flow_or_cut(residual, s, t, tau, eps, cuts, budget * 4)
+        cuts = lambda: _component_matrix(graph, in_comp, active, builder, seed)
+        result = flow_or_cut(residual, s, t, tau, eps, cuts, budget)
 
         if isinstance(result, FlowResult):
             branch = "flow"
@@ -222,11 +207,6 @@ def iterate_once(
             new_cut, new_flow = _uncross(state, x_cut), state.flow
 
     new_state = _make_state(graph, new_cut, new_flow, eps, state.index + 1)
-    if debug:
-        bound = CONTRACTION * state.potential_value + 1e-9 * graph.max_capacity
-        assert new_state.potential_value <= bound, (
-            f"contraction violated: {new_state.potential_value} > {bound}"
-        )
     record = IterationRecord(
         index=state.index,
         potential=state.potential_value,
@@ -259,7 +239,6 @@ def fair_cut(
     max_iters: Optional[int] = None,
     budget: int = DEFAULT_BUDGET,
     certify: bool = True,
-    debug: bool = False,
 ) -> FairCutResult:
     """Compute a fair (s,t)-cut with its oracle-measured fairness factor.
 
@@ -279,11 +258,9 @@ def fair_cut(
         max_iters: override for the round limit.
         budget: saddle budget per primitive call.
         certify: measure ``achieved_alpha`` with the exact oracle.
-        debug: assert the per-round contraction instead of just recording it.
 
     Raises:
-        ValueError: bad eps/terminals or a disconnected instance.
-        DriverAborted: the primitive ran out of budget twice in one round.
+        ValueError: bad eps/terminals/budget or a disconnected instance.
     """
     if s == t:
         raise ValueError("source and sink must differ")
@@ -291,6 +268,8 @@ def fair_cut(
         raise ValueError(f"eps must lie in (0, 1/8), got {eps}")
     if not (0 <= s < graph.n and 0 <= t < graph.n):
         raise ValueError("terminal out of range")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     labels = graph.connected_components()
     if labels[s] != labels[t] or not np.all(labels == labels[0]):
         stranded = sorted(int(v) for v in np.nonzero(labels != labels[s])[0])
@@ -307,14 +286,7 @@ def fair_cut(
     for i in range(1, limit + 1):
         if state.potential_value < POTENTIAL_EXIT * eps:
             break
-        try:
-            state, record = iterate_once(
-                state, eps, builder, budget=budget, seed=_iteration_seed(seed, i), debug=debug
-            )
-        except SolverExhausted as exc:
-            raise DriverAborted(
-                f"round {i}: primitive exhausted twice ({exc})", trace=records
-            ) from exc
+        state, record = iterate_once(state, eps, builder, budget=budget, seed=_iteration_seed(seed, i))
         records.append(record)
 
     achieved = min_fair_alpha(graph, state.cut) if certify else None

@@ -17,14 +17,16 @@ whose demand beats its residual boundary is itself the certificate, and
 the loop's only dual exit.
 
 The solver is warm-started from the exact residual max-flow of
-:func:`faircut.oracles.max_flow_exact`, the package's one max-flow.  A
-max-flow of 0 means t is unreachable, and its min cut is returned at once.
-When the max-flow already reaches ``tau``, the scaled warm flow routes the
-whole demand, so the call returns it without building the cut matrix or
-entering the loop.  Otherwise the matrix is built and the loop runs from
-the warm start; on unroutable instances the swept pullback certifies a cut
-within a few rounds.  Should the budget run out first, the max-flow's
-min-cut side is swept as the one salvage potential.
+:func:`faircut.oracles.max_flow_exact`, the package's one max-flow, so the
+call always ends in a flow or a cut.  A max-flow of 0 means t is
+unreachable, and its min cut is returned at once.  When the max-flow
+already reaches ``tau``, the scaled warm flow routes the whole demand, so
+the call returns it without building the cut matrix or entering the loop.
+Otherwise the matrix is built and the loop runs from the warm start; on
+unroutable instances the swept pullback certifies a cut within a few
+rounds.  Should the budget run out first, or the swept side's exact value
+miss ``tau``, the max-flow's own min cut is returned: its value is the
+max-flow, which is below ``tau``.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ __all__ = [
     "FlowResult",
     "PrimalCertificate",
     "ReducedProblem",
-    "SolverExhausted",
     "ThresholdCutError",
     "flow_or_cut",
     "reduce_problem",
@@ -68,15 +69,6 @@ EPSILON_SHRINK = 4.0
 
 class ThresholdCutError(RuntimeError):
     """No decreasing-potential prefix has demand above its boundary."""
-
-
-class SolverExhausted(RuntimeError):
-    """Budget expired without a primal point or a violating cut."""
-
-    def __init__(self, message: str, iterations: int, best_gap: float) -> None:
-        super().__init__(message)
-        self.iterations = iterations
-        self.best_gap = best_gap
 
 
 @dataclass
@@ -339,17 +331,17 @@ def flow_or_cut(
     returned (s,t)-cut has residual boundary value strictly below ``tau``.
 
     The exact warm-start max-flow is computed first.  When it reaches
-    ``tau`` (and ``budget >= 1``) the flow outcome is returned at once with
+    ``tau`` the flow outcome is returned at once, for any budget, with
     ``iterations=0``, ``primal_gap=0.0`` and no cut matrix.  Otherwise the
     cut matrix is needed: ``cuts`` may be the matrix itself or a
-    zero-argument callable that builds it, called at most once and only on
-    this path.
+    zero-argument callable that builds it, called once and only on this
+    path.  A saddle loop that ends without a primal point or a swept cut
+    below ``tau`` yields the max-flow's min cut, ``via="salvage"``.
 
     Raises:
         ValueError: ``tau <= 0``, ``eps`` outside ``(0, 1/2)``, or s == t.
-        SolverExhausted: the saddle budget expired and the sweep of the
-            warm flow's min-cut side gave no cut below ``tau`` (the caller
-            may raise the budget or switch the cut matrix).
+        RuntimeError: the max-flow's min cut is not below ``tau``; an
+            invariant check, since its value is the max-flow.
     """
     if tau <= 0:
         raise ValueError(f"threshold must be positive, got {tau}")
@@ -362,32 +354,21 @@ def flow_or_cut(
     maxflow, warm, mincut = max_flow_exact(residual, s, t)
     if maxflow == 0:
         # t is unreachable; the min cut is s's positive-capacity reachable set.
-        value = directed_cut_value(residual, mincut)
-        if value >= tau:
-            raise ValueError("threshold not positive enough to separate a saturated instance")
-        return CutResult(cut=mincut, value=value, iterations=0, via="reachability")
+        return _min_cut_result(residual, mincut, tau, 0, "reachability")
 
     caps = residual.arc_caps
     with np.errstate(divide="ignore", invalid="ignore"):
         base_x = np.where(caps > 0, warm.values / np.maximum(caps, 1e-300), 0.0)
-    routes_tau = maxflow >= tau * (1.0 - 1e-12)
-    if routes_tau:
-        x0 = np.clip(base_x * (tau / maxflow), 0.0, 1.0)
-    else:
-        x0 = np.clip(base_x, 0.0, 1.0)
-
     demand = st_demand(graph.n, s, t, tau)
-    if routes_tau and budget >= 1:
-        # A zero budget keeps its meaning: the warm start is only examined
-        # inside the first saddle round, so it exhausts below.
-        flow = FlowAssignment(graph, x0 * caps)
+    if maxflow >= tau * (1.0 - 1e-12):
+        flow = FlowAssignment(graph, np.clip(base_x * (tau / maxflow), 0.0, 1.0) * caps)
         return FlowResult(flow=flow, primal_gap=0.0, iterations=0, residual_demand=demand - divergence(flow))
 
     if not isinstance(cuts, CutMatrix):
         cuts = cuts()
     problem = reduce_problem(residual, demand, cuts)
     slack = (eps / EPSILON_SHRINK) / problem.alpha
-    outcome = saddle_solve(problem, slack, budget, x0=x0)
+    outcome = saddle_solve(problem, slack, budget, x0=np.clip(base_x, 0.0, 1.0))
 
     if isinstance(outcome, PrimalCertificate):
         flow = FlowAssignment(graph, outcome.x * caps)
@@ -402,24 +383,19 @@ def flow_or_cut(
     if isinstance(outcome, DualWitness):
         cut = VertexCut(outcome.side, source=s, sink=t)
         value = directed_cut_value(residual, cut)
-        if value >= tau:
-            raise RuntimeError("threshold sweep returned a cut at or above tau; dual was invalid")
-        return CutResult(cut=cut, value=value, iterations=outcome.iterations, via="threshold-cut", witness=outcome)
+        if value < tau:
+            return CutResult(cut=cut, value=value, iterations=outcome.iterations, via="threshold-cut", witness=outcome)
 
-    # Budget expired: sweep the warm flow's min-cut side.
-    if maxflow < tau:
-        phi = np.zeros(graph.n, dtype=np.float64)
-        phi[list(mincut.side)] = 1.0
-        try:
-            cut = threshold_cut(residual, phi, demand, source=s, sink=t)
-        except ThresholdCutError:
-            pass
-        else:
-            value = directed_cut_value(residual, cut)
-            if value < tau:
-                return CutResult(cut=cut, value=value, iterations=outcome.iterations, via="salvage")
-    raise SolverExhausted(
-        f"saddle budget {budget} expired with primal gap {outcome.best_gap:.3g} above {slack:.3g}",
-        iterations=outcome.iterations,
-        best_gap=outcome.best_gap,
-    )
+    # The budget expired, or the swept side's float sums hid a boundary at
+    # or above tau.
+    return _min_cut_result(residual, mincut, tau, outcome.iterations, "salvage")
+
+
+def _min_cut_result(
+    residual: ResidualView, mincut: VertexCut, tau: float, iterations: int, via: str
+) -> CutResult:
+    """The max-flow's min cut as a CutResult; its value is a max-flow below ``tau``."""
+    value = directed_cut_value(residual, mincut)
+    if value >= tau:
+        raise RuntimeError(f"max-flow min cut of value {value!r} is not below tau {tau!r}")
+    return CutResult(cut=mincut, value=value, iterations=iterations, via=via)

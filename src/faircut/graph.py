@@ -379,7 +379,8 @@ def undirected_cut_value(
     crossing = mask[graph.us] != mask[graph.vs]
     if active_edges is not None:
         crossing &= active_edges
-    return float(graph.caps[crossing].sum())
+    # A sum of int64 capacities can pass 2**63 - 1; Python integers cannot overflow.
+    return float(sum(graph.caps[crossing].tolist()))
 
 
 def divergence(flow: FlowAssignment) -> np.ndarray:

@@ -3,14 +3,17 @@
 These certify the approximate pipeline at desk scale.  Max-flow is a Dinic
 (level graph + blocking flow) implementation built from arc arrays.  On
 integer capacities it runs in Python integers, so it is exact for every
-int64 capacity; on float capacities it works with the global tolerance.  It
-is the package's one max-flow: every caller hands it arc arrays and reads
-the flow back per arc, and :mod:`faircut.flowcut` warm-starts from it on
-residual views.  Minimum-congestion routing takes discrete Newton steps over
-the violated cuts of scaled max-flows and returns the exact optimum, a cut's
-demand-to-capacity ratio, in a few max-flows.  The fairness check reduces to
-a flow-with-lower-bounds feasibility problem, laid out once per cut as
-arrays, and the minimal fairness factor is found by binary search.
+int64 capacity.  On float capacities an arc is dead only at exactly zero
+residual capacity, whatever the spread of the capacities, so the min cut
+it leaves has the flow's value up to summation order.  It is the package's
+one max-flow: every caller hands it arc arrays and reads the flow back per
+arc, and :mod:`faircut.flowcut` warm-starts from it on residual views and
+falls back on its min cut.  Minimum-congestion routing takes discrete
+Newton steps over the violated cuts of scaled max-flows and returns the
+exact optimum, a cut's demand-to-capacity ratio, in a few max-flows.  The
+fairness check reduces to a flow-with-lower-bounds feasibility problem,
+laid out once per cut as arrays, and the minimal fairness factor is found
+by binary search.
 
 The per-arc fairness requirement is interpreted in the net sense: the
 witness must push at least ``c(u,v)/alpha`` net flow across every cut arc.
@@ -88,7 +91,7 @@ class _Dinic:
                     level[v] = level[u] + 1
                     q.append(v)
 
-    def _dfs(self, s: int, t: int, zero):
+    def _dfs(self, s: int, t: int):
         """One blocking-flow phase on the current level graph."""
         to, cap, adj, level = self.to, self.cap, self.adj, self.level
         it = [0] * self.n
@@ -104,7 +107,7 @@ class _Dinic:
                 total += bottleneck
                 # Retreat to the shallowest saturated arc on the path.
                 k = 0
-                while cap[path[k]] > zero:
+                while cap[path[k]] > 0:
                     k += 1
                 u = to[path[k] ^ 1]
                 del path[k:]
@@ -113,7 +116,7 @@ class _Dinic:
             while it[u] < len(adj[u]):
                 a = adj[u][it[u]]
                 v = to[a]
-                if cap[a] > zero and level[v] == level[u] + 1:
+                if cap[a] > 0 and level[v] == level[u] + 1:
                     path.append(a)
                     u = v
                     advanced = True
@@ -125,12 +128,13 @@ class _Dinic:
                 level[u] = -1  # dead end; prune from this phase
                 u = to[path.pop() ^ 1]
 
-    def solve(self, s: int, t: int, zero=0):
+    def solve(self, s: int, t: int):
+        """Max-flow value; an arc is dead only at exactly zero residual capacity."""
         total = 0
-        self._bfs(s, zero)
+        self._bfs(s, 0)
         while self.level[t] >= 0:
-            total += self._dfs(s, t, zero)
-            self._bfs(s, zero)
+            total += self._dfs(s, t)
+            self._bfs(s, 0)
         return total
 
     def reachable(self, s: int, zero=0) -> set[int]:
@@ -154,19 +158,19 @@ def max_flow_exact(
     if s == t:
         raise ValueError("source and sink must differ")
     if isinstance(g, CapacitatedGraph):
-        base, arc_caps, zero = g, np.concatenate([g.caps, g.caps]), 0
+        base, arc_caps = g, np.concatenate([g.caps, g.caps])
     else:
-        base, arc_caps, zero = g.graph, g.arc_caps, g.graph.tolerance
+        base, arc_caps = g.graph, g.arc_caps
 
     live = np.flatnonzero(arc_caps > 0)
     solver = _Dinic(base.n, base.tails[live], base.heads[live], arc_caps[live])
-    value = solver.solve(s, t, zero=zero)
+    value = solver.solve(s, t)
 
     used = np.zeros(base.num_arcs, dtype=np.float64)
     used[live] = solver.flow()
     flow = FlowAssignment(base, used).cancel_antiparallel()
 
-    reach = solver.reachable(s, zero=zero)
+    reach = solver.reachable(s)
     if t in reach:
         raise RuntimeError("max-flow terminated with sink still reachable")
     cut = VertexCut(frozenset(reach), source=s, sink=t)
@@ -225,14 +229,14 @@ def min_congestion_routing(
 
     def attempt(kappa: float):
         solver = _Dinic(g.n + 2, tails, heads, np.concatenate([kappa * g.arc_caps, demand_caps]))
-        value = solver.solve(src, snk, zero=0.0)
+        value = solver.solve(src, snk)
         return value >= supply - feas_tol, solver
 
     def ratio(side: frozenset) -> float:
         """Demand inside ``side`` over its boundary capacity, from exact sums."""
         mask = np.zeros(g.n, dtype=bool)
         mask[list(side)] = True
-        boundary = float(g.caps[mask[g.us] != mask[g.vs]].sum())
+        boundary = float(sum(g.caps[mask[g.us] != mask[g.vs]].tolist()))
         if boundary <= 0:
             raise ValueError("demand is trapped in a set with no boundary capacity; no routing exists")
         return float(d[list(side)].sum()) / boundary
@@ -304,7 +308,7 @@ class _FairnessNetwork:
         self.g = g
         mask = cut.member_mask(g.n)
         crossing = mask[g.us] != mask[g.vs]
-        self.total_cap = float(g.caps.sum())
+        self.total_cap = float(sum(g.caps.tolist()))  # the int64 sum can overflow
 
         # Orient the single working arc of a cut edge out of the cut side with
         # bounds [c/alpha, c]; the reverse direction is dropped so the lower
@@ -340,7 +344,7 @@ class _FairnessNetwork:
             np.concatenate([self.heads, np.where(excess[ends] > 0, ends, aux_snk)]),
             np.concatenate([self.caps - lower, np.abs(excess[ends])]),
         )
-        value = solver.solve(aux_src, aux_snk, zero=0.0)
+        value = solver.solve(aux_src, aux_snk)
         feas_tol = 1e-11 * max(1.0, need)
         if value < need - feas_tol:
             reach = solver.reachable(aux_src, zero=1e-12 * max(1.0, self.total_cap))

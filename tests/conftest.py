@@ -9,15 +9,16 @@ the input graph itself; the second searches the minimum congestion by
 bisection over the library's max-flow, to check its Newton steps.
 """
 
-import functools
+import math
 from itertools import combinations
 from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from faircut import driver
-from faircut.flowcut import FlowResult, SolverExhausted, flow_or_cut
+from faircut.flowcut import FlowResult, flow_or_cut
 from faircut.graph import CapacitatedGraph, FlowAssignment, ResidualView, VertexCut, add_flows
 from faircut.oracles import _component_balanced, _Dinic
 
@@ -147,11 +148,8 @@ def reference_round(state, eps: float, builder, budget: int = 400, seed=None):
         remap[vkeep] = np.arange(len(vkeep))
         sub_vals = np.concatenate([state.flow.values[ekeep], state.flow.values[ekeep + graph.m]])
         sub_res = ResidualView(sub, FlowAssignment(sub, sub_vals))
-        cuts = functools.cache(lambda: builder(sub, seed))
-        try:
-            result = flow_or_cut(sub_res, int(remap[s]), int(remap[t]), tau, eps, cuts, budget)
-        except SolverExhausted:
-            result = flow_or_cut(sub_res, int(remap[s]), int(remap[t]), tau, eps, cuts, budget * 4)
+        cuts = lambda: builder(sub, seed)
+        result = flow_or_cut(sub_res, int(remap[s]), int(remap[t]), tau, eps, cuts, budget)
         if isinstance(result, FlowResult):
             lifted = np.zeros(graph.num_arcs, dtype=np.float64)
             lifted[ekeep] = result.flow.values[: sub.m]
@@ -198,7 +196,7 @@ def reference_routing(g: CapacitatedGraph, d: np.ndarray) -> tuple[float, FlowAs
 
     def attempt(kappa):
         solver = _Dinic(g.n + 2, tails, heads, np.concatenate([kappa * g.arc_caps, np.abs(d[ends])]))
-        return solver.solve(src, snk, zero=0.0) >= supply - feas_tol, solver
+        return solver.solve(src, snk) >= supply - feas_tol, solver
 
     violated = None
 
@@ -292,6 +290,26 @@ def reference_tree_rows(g: CapacitatedGraph, tree_edges) -> tuple[list[tuple[int
         crossings.append(crossing)
         stretch = max(stretch, crossing / float(g.caps[parent_edge[v]]))
     return rows, crossings, stretch
+
+
+@st.composite
+def int64_spread_instance(draw, n_max: int = 8) -> tuple[CapacitatedGraph, int, int]:
+    """A small connected graph with capacities log-uniform in [1, 2**63 - 1], and its terminals.
+
+    A random tree (each vertex joins an earlier one) plus up to n extra edges.
+    """
+    n = draw(st.integers(2, n_max))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    log_cap = st.floats(0.0, 63.0).map(lambda e: min(2**63 - 1, int(2.0**e)))
+    edges = {(min(u, v), max(u, v)): draw(log_cap) for u, v in pairs if u != v}
+    s, t = draw(st.permutations(range(n)))[:2]
+    return CapacitatedGraph(n, [(u, v, c) for (u, v), c in edges.items()]), s, t
+
+
+def fairness_bound(n: int, eps: float) -> float:
+    """Acceptance criterion 1's cap on the achieved fairness factor (constant 32)."""
+    return 1.0 + 32.0 * eps * math.log2(n)
 
 
 @pytest.fixture

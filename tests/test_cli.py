@@ -3,12 +3,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from faircut import approximator
 from faircut.cli import main
 from faircut.dimacs import serialize_dimacs
 from faircut.generators import random_connected_graph
-from faircut.graph import CapacitatedGraph
+from faircut.graph import CapacitatedGraph, VertexCut
+from faircut.oracles import FairnessCertificate, verify_fairness
+
+from conftest import fairness_bound, int64_spread_instance
 
 PATH_INSTANCE = "p max 3 2\nn 1 s\nn 3 t\na 1 2 2\na 2 3 1\n"
 SINGLE_EDGE = "p max 2 1\nn 1 s\nn 2 t\na 1 2 10\n"
@@ -86,12 +90,29 @@ class TestSolve:
         assert lines[0] == "iter,potential,branch,primal_gap"
         assert len(lines) >= 2
 
-    def test_exhausted_budget_exits_two(self, instance_file, capsys):
-        # a zero budget can never produce a certificate on the flow side
-        path = instance_file(SINGLE_EDGE)
-        code, _, err = run(capsys, ["solve", "--input", path, "--budget", "0"])
-        assert code == 2
-        assert "exhausted" in err.lower()
+    def test_negative_budget_exits_one(self, instance_file, capsys):
+        code, out, err = run(capsys, ["solve", "--input", instance_file(SINGLE_EDGE), "--budget", "-1"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "budget" in err
+
+    @pytest.mark.parametrize("w", [10**6, 10**10, 10**15, 2**62])
+    def test_capacity_spread_solves(self, instance_file, capsys, w):
+        g = CapacitatedGraph(4, [(0, 1, 5), (1, 2, 1), (2, 3, 1), (0, 3, w)])
+        code, out, _ = run(capsys, ["solve", "--input", instance_file(serialize_dimacs(g, 0, 2)), "--verify"])
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["cut_side"], doc["achieved_alpha"]) == ([0, 1, 3], 1.0)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(instance=int64_spread_instance())
+    def test_int64_capacities_solve_and_certify(self, instance_file, capsys, instance):
+        g, s, t = instance
+        code, out, _ = run(capsys, ["solve", "--input", instance_file(serialize_dimacs(g, s, t)), "--verify"])
+        assert code == 0
+        doc = json.loads(out)
+        cut = VertexCut(frozenset(doc["cut_side"]), s, t)
+        assert isinstance(verify_fairness(g, cut, doc["achieved_alpha"]), FairnessCertificate)
+        assert doc["achieved_alpha"] <= fairness_bound(g.n, 0.05)
 
 
 class TestVerify:

@@ -23,9 +23,9 @@ from faircut.graph import (
     undirected_cut_value,
 )
 from faircut.generators import random_connected_graph
-from faircut.oracles import min_fair_alpha
+from faircut.oracles import FairnessCertificate, min_fair_alpha, verify_fairness
 
-from conftest import brute_min_cut_value, reference_round, small_graph
+from conftest import brute_min_cut_value, fairness_bound, int64_spread_instance, reference_round, small_graph
 
 
 def path_2_1():
@@ -268,6 +268,12 @@ class TestFairCut:
         with pytest.raises(ValueError, match="member count"):
             fair_cut(g, 0, 1, 0.05, approximator="multitree:0")
 
+    def test_negative_budget_rejected_before_any_round(self):
+        # Every round on the single edge is decided by the warm flow, which
+        # never reads the budget.
+        with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+            fair_cut(CapacitatedGraph(2, [(0, 1, 5)]), 0, 1, 0.05, budget=-1)
+
     def test_terminal_validation(self):
         g = path_2_1()
         with pytest.raises(ValueError):
@@ -311,3 +317,22 @@ class TestFairCut:
         g = small_graph(rng, n_lo=4, n_hi=9)
         result = fair_cut(g, 0, g.n - 1, eps=0.05, approximator="exhaustive", seed=1)
         assert result.achieved_alpha == pytest.approx(min_fair_alpha(g, result.cut))
+
+
+@pytest.mark.parametrize("w", [10**6, 10**10, 10**15, 2**62])
+def test_capacity_spread_solves(w):
+    # Unit arcs beside one of capacity W: every residual max-flow must count
+    # each positive arc, whatever W is.
+    g = CapacitatedGraph(4, [(0, 1, 5), (1, 2, 1), (2, 3, 1), (0, 3, w)])
+    result = fair_cut(g, 0, 2, eps=0.05)
+    assert result.cut.side == frozenset({0, 1, 3})
+    assert result.achieved_alpha == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(int64_spread_instance())
+def test_int64_capacities_solve_and_certify(instance):
+    g, s, t = instance
+    result = fair_cut(g, s, t, eps=0.05)
+    assert isinstance(verify_fairness(g, result.cut, result.achieved_alpha), FairnessCertificate)
+    assert result.achieved_alpha <= fairness_bound(g.n, 0.05)

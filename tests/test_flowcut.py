@@ -3,7 +3,6 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from faircut import driver
 from faircut.approximator import CutMatrix, build_exhaustive, build_multi_tree, build_tree, operator_row_norms
 from faircut.driver import _make_state, iterate_once
 from faircut.flowcut import (
@@ -12,7 +11,6 @@ from faircut.flowcut import (
     ExhaustedOutcome,
     FlowResult,
     PrimalCertificate,
-    SolverExhausted,
     ThresholdCutError,
     flow_or_cut,
     reduce_problem,
@@ -158,8 +156,8 @@ class TestSaddleSolve:
             saddle_solve(problem, 1.5, budget=10)
 
 
-class TestDualToPotential:
-    """Signed row weights ``y`` pulled back to the potential ``scaled_pullback(y)``."""
+class TestWitnessPotential:
+    """A witness's potential is ``scaled_pullback(y)``, and its sweep gives the witness side."""
 
     def _problem(self):
         g = single_edge(1)
@@ -381,6 +379,54 @@ def refusing_builder():
     raise AssertionError("cut matrix built on a round the warm start decides")
 
 
+class TestExits:
+    """Each way out of ``flow_or_cut``, forced through the public call."""
+
+    def test_warm_flow_at_zero_budget(self):
+        out = flow_or_cut(empty_residual(single_edge(5)), 0, 1, 3.0, 0.1, refusing_builder, budget=0)
+        assert isinstance(out, FlowResult)
+        assert (out.iterations, out.primal_gap) == (0, 0.0)
+        assert np.allclose(out.residual_demand, 0.0)
+
+    def test_saddle_primal_at_iteration_zero(self):
+        # tau a hair above the max-flow: the warm flow is not scaled, and the
+        # loop's first check finds it within the slack.
+        g = single_edge(5)
+        out = flow_or_cut(empty_residual(g), 0, 1, 5.0 * (1 + 1e-6), 0.1, build_exhaustive(g))
+        assert isinstance(out, FlowResult) and out.iterations == 0
+        assert 0.0 < out.primal_gap <= 0.1 / 4.0
+
+    def test_threshold_cut(self):
+        g = single_edge(5)
+        out = flow_or_cut(empty_residual(g), 0, 1, 7.0, 0.1, build_exhaustive(g))
+        assert isinstance(out, CutResult) and out.via == "threshold-cut"
+        assert out.witness.side == out.cut.side == frozenset({0})
+
+    def test_min_cut_after_exhaustion(self):
+        g = CapacitatedGraph(3, [(0, 1, 4), (1, 2, 1)])
+        res = empty_residual(g)
+        out = flow_or_cut(res, 0, 2, 3.0, 0.1, build_exhaustive(g), budget=0)
+        assert isinstance(out, CutResult) and out.via == "salvage"
+        assert out.cut.side == max_flow_exact(res, 0, 2)[2].side == frozenset({0, 1})
+        assert (out.value, out.iterations, out.witness) == (1.0, 0, None)
+
+    def test_min_cut_after_the_swept_side_fails_the_exact_check(self):
+        # At W = 2**62 the sweep's float boundary sums cancel W against 5 + W,
+        # so a side of true value at least tau looks violated.
+        g = CapacitatedGraph(4, [(0, 1, 5), (1, 2, 1), (2, 3, 1), (0, 3, 2**62)])
+        out = flow_or_cut(empty_residual(g), 0, 2, 3.0, 0.05, build_exhaustive(g), budget=1000)
+        assert isinstance(out, CutResult) and out.via == "salvage"
+        assert out.iterations == 1  # a witness in round 1, not an expired budget
+        assert out.cut.side == frozenset({0, 1, 3}) and out.value == 2.0
+
+    def test_reachability(self):
+        g = CapacitatedGraph(3, [(0, 1, 4), (1, 2, 1)])
+        res = ResidualView(g, FlowAssignment(g), active_edges=np.array([True, False]))
+        out = flow_or_cut(res, 0, 2, 3.0, 0.1, refusing_builder, budget=0)
+        assert isinstance(out, CutResult) and out.via == "reachability"
+        assert (out.cut.side, out.value, out.iterations) == (frozenset({0, 1}), 0.0, 0)
+
+
 class TestLazyCutMatrix:
     def test_warm_start_flow_never_builds(self, rng):
         g = single_edge(5)
@@ -413,48 +459,9 @@ class TestLazyCutMatrix:
         assert record.branch == "cut"
         assert built == [3]
 
-    def test_retry_after_exhaustion_reuses_the_matrix(self, monkeypatch):
-        # the first primitive call builds the matrix and then reports an
-        # exhausted budget; the 4x retry must run on the same matrix
-        g = CapacitatedGraph(3, [(0, 1, 4), (1, 2, 1)])
-        state = _make_state(g, VertexCut(frozenset({0}), 0, 2), FlowAssignment(g), 0.05, 1)
-        built, budgets = [], []
 
-        def builder(sub, seed):
-            built.append(seed)
-            return build_exhaustive(sub)
-
-        def exhaust_first(*args):
-            budgets.append(args[-1])
-            result = flow_or_cut(*args)
-            if len(budgets) == 1:
-                raise SolverExhausted("forced", iterations=args[-1], best_gap=1.0)
-            return result
-
-        monkeypatch.setattr(driver, "flow_or_cut", exhaust_first)
-        _, record = iterate_once(state, 0.05, builder, budget=7, seed=3)
-        assert record.branch == "cut"
-        assert budgets == [7, 28]
-        assert built == [3]
-
-    def test_zero_budget_flow_round_exhausts_after_one_build(self):
-        g = single_edge(5)
-        with pytest.raises(SolverExhausted):
-            flow_or_cut(empty_residual(g), 0, 1, tau=3.0, eps=0.1, cuts=build_exhaustive(g), budget=0)
-        state = _make_state(g, VertexCut(frozenset({0}), 0, 1), FlowAssignment(g), 0.05, 1)
-        built = []
-
-        def builder(sub, seed):
-            built.append(seed)
-            return build_exhaustive(sub)
-
-        with pytest.raises(SolverExhausted):
-            iterate_once(state, 0.05, builder, budget=0, seed=3)
-        assert built == [3]
-
-
-class TestRowScan:
-    """Hand instances where every cut-matrix row is a violated cut; round 1 must certify."""
+class TestFirstRoundSweep:
+    """Hand instances where every cut-matrix row is a violated cut; round 1's sweep must certify."""
 
     def _witness(self, d):
         g = CapacitatedGraph(3, [(0, 1, 2), (1, 2, 1)])

@@ -264,9 +264,9 @@ class TestMinCongestionRouting:
         real_solve = oracles._Dinic.solve
         solves = []
 
-        def first_solve_fails(self, s, t, zero=0):
+        def first_solve_fails(self, s, t):
             solves.append(s)
-            return 0.0 if len(solves) == 1 else real_solve(self, s, t, zero)
+            return 0.0 if len(solves) == 1 else real_solve(self, s, t)
 
         monkeypatch.setattr(oracles._Dinic, "solve", first_solve_fails)
         g = CapacitatedGraph(2, [(0, 1, 4)])
@@ -288,9 +288,9 @@ class TestMinCongestionRouting:
         real_solve, real_routing = oracles._Dinic.solve, approximator.min_congestion_routing
         solves, per_call = [0], []
 
-        def counting_solve(self, s, t, zero=0):
+        def counting_solve(self, s, t):
             solves[0] += 1
-            return real_solve(self, s, t, zero)
+            return real_solve(self, s, t)
 
         def counted_routing(g, d):
             solves[0] = 0
