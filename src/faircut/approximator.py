@@ -120,8 +120,8 @@ def row_boundary_values(cuts: CutMatrix, view) -> tuple[np.ndarray, np.ndarray]:
     """Per row, total arc capacity leaving and entering the cut side.
 
     ``view`` is anything with ``tails``/``heads``/``arc_caps`` arrays (a
-    graph's bidirected arcs or a residual view).  Used for operator-norm checks and for
-    scanning rows whose residual boundary certifies infeasibility.
+    graph's bidirected arcs or a residual view).  :func:`operator_row_norms`
+    sums the two to bound each row's norm on the arc operator.
     """
     tails, heads, caps = view.tails, view.heads, np.asarray(view.arc_caps, dtype=np.float64)
     num_arcs = len(tails)
@@ -387,13 +387,13 @@ def resolve_builder(descriptor: str) -> BuilderFn:
     run may finish without calling the builder at all.
 
     Raises:
-        ValueError: unknown descriptor, or a ``multitree`` count that is not
-            an integer of at least 1.
+        ValueError: anything but ``exhaustive`` or ``multitree:K`` with an
+            integer ``K`` of at least 1.
     """
+    if not isinstance(descriptor, str):
+        raise ValueError(f"approximator must be a descriptor string, got {descriptor!r}")
     if descriptor == "exhaustive":
         return lambda g, seed: build_exhaustive(g)
-    if descriptor == "tree":
-        return lambda g, seed: build_tree(g, seed)
     if descriptor.startswith("multitree:"):
         try:
             k = int(descriptor.split(":", 1)[1])

@@ -1,7 +1,7 @@
 """Command-line surface: solve / verify / bench / measure-alpha.
 
-Exit codes: 0 success, 1 parse/argument errors (a capacity above int64, a
-negative budget), 3 fairness verification refused.  Diagnostics go to
+Exit codes: 0 success, 1 parse/argument errors (a capacity above int64, an
+unknown approximator), 3 fairness verification refused.  Diagnostics go to
 stderr; results go to stdout as JSON (solve, measure-alpha), plain text
 (verify), or CSV (bench).
 Set ``FAIRCUT_LOG`` to ``error``/``info``/``debug`` to control logging.
@@ -113,8 +113,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             eps=args.epsilon,
             approximator=args.approximator,
             seed=args.seed,
-            max_iters=args.max_iters,
-            budget=args.budget,
             certify=args.verify,
         )
     except ValueError as exc:
@@ -221,10 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--input", required=True, help="DIMACS max-flow file")
     solve.add_argument("--epsilon", type=float, default=0.05)
     solve.add_argument("--approximator", default="multitree:8",
-                       help="exhaustive | tree | multitree:K")
+                       help="exhaustive | multitree:K")
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--max-iters", type=int, default=None)
-    solve.add_argument("--budget", type=int, default=400)
     solve.add_argument("--trace", default=None, help="write per-round CSV trace here")
     solve.add_argument("--verify", action="store_true",
                        help="measure achieved fairness with the exact oracle")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,6 +27,7 @@ import scipy.sparse as sp
 from .approximator import CutMatrix, resolve_builder
 from .flowcut import FlowResult, flow_or_cut
 from .graph import (
+    REL_TOL,
     CapacitatedGraph,
     FlowAssignment,
     ResidualView,
@@ -53,7 +54,6 @@ SATURATION_MARGIN = 4.0
 POTENTIAL_EXIT = 4.0
 THRESHOLD_FACTOR = 0.5
 CONTRACTION = 0.75
-DEFAULT_BUDGET = 400
 
 Builder = Callable[[CapacitatedGraph, Optional[int]], CutMatrix]
 
@@ -97,10 +97,10 @@ class FairCutResult:
 def _crossing_arcs(
     graph: CapacitatedGraph, flow: FlowAssignment, cut: VertexCut, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Outgoing cut arcs, and per arc whether its flow is at most ``(1 - 4*eps) * capacity``."""
+    """Outgoing cut arcs, and per arc whether its flow is at most ``(1 - 4*eps + REL_TOL) * capacity``."""
     mask = cut.member_mask(graph.n)
     crossing = np.nonzero(mask[graph.tails] & ~mask[graph.heads])[0]
-    limit = (1.0 - SATURATION_MARGIN * eps) * graph.arc_caps[crossing] + graph.tolerance
+    limit = (1.0 - SATURATION_MARGIN * eps + REL_TOL) * graph.arc_caps[crossing]
     return crossing, flow.values[crossing] <= limit
 
 
@@ -109,7 +109,8 @@ def unsaturated_arcs(
 ) -> np.ndarray:
     """Outgoing cut arcs whose flow is at most ``(1 - 4*eps) * capacity``.
 
-    The comparison is inclusive at exact equality (tolerance eta).
+    The comparison is inclusive, with float error of ``REL_TOL * capacity``
+    allowed per arc.
     """
     crossing, unsaturated = _crossing_arcs(graph, flow, cut, eps)
     return crossing[unsaturated]
@@ -162,7 +163,6 @@ def iterate_once(
     state: IterationState,
     eps: float,
     builder: Builder,
-    budget: int = DEFAULT_BUDGET,
     seed: Optional[int] = None,
 ) -> tuple[IterationState, IterationRecord]:
     """One driver round: call the primitive, grow the flow or move the cut.
@@ -193,7 +193,7 @@ def iterate_once(
         active = state.residual.active_edges & in_comp[graph.us]
         residual = ResidualView(graph, state.flow, active)
         cuts = lambda: _component_matrix(graph, in_comp, active, builder, seed)
-        result = flow_or_cut(residual, s, t, tau, eps, cuts, budget)
+        result = flow_or_cut(residual, s, t, tau, eps, cuts)
 
         if isinstance(result, FlowResult):
             branch = "flow"
@@ -234,33 +234,29 @@ def fair_cut(
     s: int,
     t: int,
     eps: float,
-    approximator: Union[str, Builder] = "multitree:8",
+    approximator: str = "multitree:8",
     seed: int = 0,
-    max_iters: Optional[int] = None,
-    budget: int = DEFAULT_BUDGET,
     certify: bool = True,
 ) -> FairCutResult:
     """Compute a fair (s,t)-cut with its oracle-measured fairness factor.
 
     Starts from the singleton cut at ``s`` with the empty flow and runs
     driver rounds until the residual boundary potential falls below
-    ``4 * eps`` (or the round limit is hit).  With ``certify=True`` the
-    output fairness is measured exactly by the oracle and stored in
-    ``achieved_alpha``.
+    ``4 * eps`` (or :func:`default_round_limit` rounds have run).  Each
+    primitive call gets the saddle budget ``flowcut.SADDLE_BUDGET``.  With
+    ``certify=True`` the output fairness is measured exactly by the oracle
+    and stored in ``achieved_alpha``.
 
     Args:
         graph: connected undirected instance.
         s, t: distinct terminals.
         eps: saturation margin, in ``(0, 1/8)``.
-        approximator: builder descriptor (``exhaustive``, ``tree``,
-            ``multitree:K``) or a callable ``(graph, seed) -> CutMatrix``.
+        approximator: builder descriptor, ``exhaustive`` or ``multitree:K``.
         seed: base seed; each round derives its own stream from it.
-        max_iters: override for the round limit.
-        budget: saddle budget per primitive call.
         certify: measure ``achieved_alpha`` with the exact oracle.
 
     Raises:
-        ValueError: bad eps/terminals/budget or a disconnected instance.
+        ValueError: bad eps/terminals/descriptor or a disconnected instance.
     """
     if s == t:
         raise ValueError("source and sink must differ")
@@ -268,16 +264,13 @@ def fair_cut(
         raise ValueError(f"eps must lie in (0, 1/8), got {eps}")
     if not (0 <= s < graph.n and 0 <= t < graph.n):
         raise ValueError("terminal out of range")
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
     labels = graph.connected_components()
     if labels[s] != labels[t] or not np.all(labels == labels[0]):
         stranded = sorted(int(v) for v in np.nonzero(labels != labels[s])[0])
         raise ValueError(f"graph must be connected; stranded vertices include {stranded[:6]}")
 
-    builder = resolve_builder(approximator) if isinstance(approximator, str) else approximator
-    descriptor = approximator if isinstance(approximator, str) else "custom"
-    limit = max_iters if max_iters is not None else default_round_limit(graph.n, graph.max_capacity, eps)
+    builder = resolve_builder(approximator)
+    limit = default_round_limit(graph.n, graph.max_capacity, eps)
 
     cut = VertexCut(frozenset({s}), source=s, sink=t)
     flow = FlowAssignment(graph)
@@ -286,7 +279,7 @@ def fair_cut(
     for i in range(1, limit + 1):
         if state.potential_value < POTENTIAL_EXIT * eps:
             break
-        state, record = iterate_once(state, eps, builder, budget=budget, seed=_iteration_seed(seed, i))
+        state, record = iterate_once(state, eps, builder, seed=_iteration_seed(seed, i))
         records.append(record)
 
     achieved = min_fair_alpha(graph, state.cut) if certify else None
@@ -297,7 +290,7 @@ def fair_cut(
         final_flow=state.flow,
         eps=eps,
         seed=seed,
-        approximator=descriptor,
+        approximator=approximator,
         max_rounds=limit,
         final_potential=state.potential_value,
     )

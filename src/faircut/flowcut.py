@@ -66,6 +66,9 @@ __all__ = [
 # estimate-to-optimum conversion lands back at eps (row scale 1/4 undoes it).
 EPSILON_SHRINK = 4.0
 
+# Saddle rounds per flow-or-cut call; a swept cut usually ends the loop in round 1.
+SADDLE_BUDGET = 400
+
 
 class ThresholdCutError(RuntimeError):
     """No decreasing-potential prefix has demand above its boundary."""
@@ -321,7 +324,7 @@ def flow_or_cut(
     tau: float,
     eps: float,
     cuts: Union[CutMatrix, Callable[[], CutMatrix]],
-    budget: int = 1000,
+    budget: int = SADDLE_BUDGET,
 ) -> Union[FlowResult, CutResult]:
     """Feasible flow toward ``tau`` units s->t, or a cut below ``tau``.
 
@@ -331,15 +334,17 @@ def flow_or_cut(
     returned (s,t)-cut has residual boundary value strictly below ``tau``.
 
     The exact warm-start max-flow is computed first.  When it reaches
-    ``tau`` the flow outcome is returned at once, for any budget, with
-    ``iterations=0``, ``primal_gap=0.0`` and no cut matrix.  Otherwise the
-    cut matrix is needed: ``cuts`` may be the matrix itself or a
-    zero-argument callable that builds it, called once and only on this
-    path.  A saddle loop that ends without a primal point or a swept cut
-    below ``tau`` yields the max-flow's min cut, ``via="salvage"``.
+    ``tau`` the flow outcome is returned at once, for any nonnegative
+    ``budget``, with ``iterations=0``, ``primal_gap=0.0`` and no cut matrix.
+    Otherwise the cut matrix is needed: ``cuts`` may be the matrix itself or
+    a zero-argument callable that builds it, called once and only on this
+    path.  A saddle loop of at most ``budget`` rounds that ends without a
+    primal point or a swept cut below ``tau`` yields the max-flow's min
+    cut, ``via="salvage"``.
 
     Raises:
-        ValueError: ``tau <= 0``, ``eps`` outside ``(0, 1/2)``, or s == t.
+        ValueError: ``tau <= 0``, ``eps`` outside ``(0, 1/2)``, a negative
+            ``budget``, or s == t.
         RuntimeError: the max-flow's min cut is not below ``tau``; an
             invariant check, since its value is the max-flow.
     """
@@ -347,6 +352,8 @@ def flow_or_cut(
         raise ValueError(f"threshold must be positive, got {tau}")
     if not (0.0 < eps < 0.5):
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     if s == t:
         raise ValueError("source and sink must differ")
 

@@ -10,10 +10,10 @@ Conventions shared by every module in this package:
   arrays of length ``2 * m`` in that arc order, so ``reverse_arc(a)`` is
   just ``(a + m) % (2 * m)``.
 
-Capacities are 64-bit integers; flows are 64-bit floats.  Every "is zero" /
-"is nonnegative" comparison in the package uses the single absolute
-tolerance ``graph.tolerance == 1e-9 * W`` where ``W`` is the largest
-capacity in the instance.
+Capacities are 64-bit integers; flows are 64-bit floats.  Every per-arc
+"is zero" / "is saturated" comparison in the package allows float error of
+``REL_TOL * c_a``, relative to that arc's own capacity ``c_a``, so a small
+arc is judged on its own scale whatever the largest capacity is.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ __all__ = [
     "undirected_cut_value",
 ]
 
+# Float error allowed on an arc, as a fraction of that arc's capacity.
+REL_TOL = 1e-9
+
 
 class CapacitatedGraph:
     """Immutable undirected graph with positive integer edge capacities.
@@ -49,15 +52,9 @@ class CapacitatedGraph:
     Args:
         vertex_count: number of vertices ``n``; ids are ``0 .. n-1``.
         edges: iterable of ``(u, v, capacity)`` triples.
-        max_capacity: optional upper bound enforced on every capacity.
     """
 
-    def __init__(
-        self,
-        vertex_count: int,
-        edges: Iterable[tuple[int, int, int]],
-        max_capacity: Optional[int] = None,
-    ) -> None:
+    def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int, int]]) -> None:
         if vertex_count < 1:
             raise ValueError("graph needs at least one vertex")
         self.n = int(vertex_count)
@@ -71,13 +68,9 @@ class CapacitatedGraph:
                 raise ValueError(f"self-loop at vertex {u} is not allowed")
             if c < 1:
                 raise ValueError(f"edge ({u},{v}) has non-positive capacity {c}")
-            if max_capacity is not None and c > max_capacity:
-                raise ValueError(f"edge ({u},{v}) capacity {c} exceeds bound {max_capacity}")
             key = (u, v) if u < v else (v, u)
             merged[key] = merged.get(key, 0) + c
         for (u, v), c in merged.items():
-            if max_capacity is not None and c > max_capacity:
-                raise ValueError(f"merged edge ({u},{v}) capacity {c} exceeds bound {max_capacity}")
             if c > 2**63 - 1:
                 raise ValueError(f"edge ({u},{v}) capacity {c}, parallel edges summed, exceeds int64 max 2**63 - 1")
 
@@ -101,11 +94,6 @@ class CapacitatedGraph:
     def max_capacity(self) -> int:
         """Largest edge capacity W (1 for an edgeless graph)."""
         return int(self.caps.max()) if self.m else 1
-
-    @property
-    def tolerance(self) -> float:
-        """Global absolute tolerance eta = 1e-9 * W used by all checks."""
-        return 1e-9 * self.max_capacity
 
     @property
     def num_arcs(self) -> int:
@@ -224,7 +212,7 @@ class FlowAssignment:
             values = np.asarray(values, dtype=np.float64)
             if values.shape != (graph.num_arcs,):
                 raise ValueError(f"expected {graph.num_arcs} arc values, got {values.shape}")
-            if values.size and values.min() < -graph.tolerance:
+            if np.any(values < -REL_TOL * graph.arc_caps):
                 raise ValueError("flow values must be nonnegative")
             values = np.maximum(values, 0.0)
         self.values = values
@@ -275,8 +263,8 @@ class ResidualView:
     ``active_edges`` is a boolean array with one entry per undirected edge
     (all edges when omitted).  Flow on inactive edges is dropped before the
     computation (the restriction of the flow to the active edges); inactive
-    arcs expose capacity 0.  Derived capacities below ``-tolerance`` raise;
-    small negatives are clamped to 0.
+    arcs expose capacity 0.  A derived capacity below ``-REL_TOL * c_a`` on
+    an arc of capacity ``c_a`` raises; smaller negatives are clamped to 0.
     """
 
     def __init__(
@@ -300,9 +288,8 @@ class ResidualView:
         caps = np.where(act2, graph.arc_caps, 0.0)
         fwd, bwd = restricted[:m], restricted[m:]
         raw = caps - restricted + np.concatenate([bwd, fwd])
-        low = float(raw.min()) if raw.size else 0.0
-        if low < -graph.tolerance:
-            raise ValueError(f"negative residual capacity {low} beyond tolerance; flow infeasible")
+        if np.any(raw < -REL_TOL * graph.arc_caps):
+            raise ValueError(f"negative residual capacity {raw.min()} beyond tolerance; flow infeasible")
         self.arc_caps = np.maximum(raw, 0.0)
 
     @property

@@ -129,7 +129,11 @@ class _Dinic:
                 u = to[path.pop() ^ 1]
 
     def solve(self, s: int, t: int):
-        """Max-flow value; an arc is dead only at exactly zero residual capacity."""
+        """Max-flow value; an arc is dead only at exactly zero residual capacity.
+
+        On return ``level`` holds the last BFS, which missed t: the vertices
+        with a level form s's side of a minimum cut.
+        """
         total = 0
         self._bfs(s, 0)
         while self.level[t] >= 0:
@@ -170,10 +174,7 @@ def max_flow_exact(
     used[live] = solver.flow()
     flow = FlowAssignment(base, used).cancel_antiparallel()
 
-    reach = solver.reachable(s)
-    if t in reach:
-        raise RuntimeError("max-flow terminated with sink still reachable")
-    cut = VertexCut(frozenset(reach), source=s, sink=t)
+    cut = VertexCut(frozenset(v for v, lvl in enumerate(solver.level) if lvl >= 0), source=s, sink=t)
     return value, flow, cut
 
 
@@ -219,7 +220,9 @@ def min_congestion_routing(
         raise ValueError("demand crosses disconnected components; no routing exists")
 
     src, snk = g.n, g.n + 1
-    feas_tol = 1e-12 * supply  # relative: float noise in the flow sums is far below this
+    # d balances only within tol, so at most the smaller of its two sides can
+    # be routed; float noise in the flow sums is far below 1e-12 relative.
+    target = min(supply, float(-d[d < 0].sum())) - 1e-12 * supply
 
     # The arcs of g, then one arc from src or into snk per vertex with demand.
     ends = np.flatnonzero(d)
@@ -230,7 +233,7 @@ def min_congestion_routing(
     def attempt(kappa: float):
         solver = _Dinic(g.n + 2, tails, heads, np.concatenate([kappa * g.arc_caps, demand_caps]))
         value = solver.solve(src, snk)
-        return value >= supply - feas_tol, solver
+        return value >= target, solver
 
     def ratio(side: frozenset) -> float:
         """Demand inside ``side`` over its boundary capacity, from exact sums."""

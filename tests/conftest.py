@@ -124,7 +124,7 @@ def bfs_components(n: int, us, vs, active=None) -> list[frozenset]:
     return parts
 
 
-def reference_round(state, eps: float, builder, budget: int = 400, seed=None):
+def reference_round(state, eps: float, builder, seed=None):
     """One driver round solved on an induced copy of s's component.
 
     Copies the unmasked edges of the component of s, remaps s and t, runs
@@ -149,7 +149,7 @@ def reference_round(state, eps: float, builder, budget: int = 400, seed=None):
         sub_vals = np.concatenate([state.flow.values[ekeep], state.flow.values[ekeep + graph.m]])
         sub_res = ResidualView(sub, FlowAssignment(sub, sub_vals))
         cuts = lambda: builder(sub, seed)
-        result = flow_or_cut(sub_res, int(remap[s]), int(remap[t]), tau, eps, cuts, budget)
+        result = flow_or_cut(sub_res, int(remap[s]), int(remap[t]), tau, eps, cuts)
         if isinstance(result, FlowResult):
             lifted = np.zeros(graph.num_arcs, dtype=np.float64)
             lifted[ekeep] = result.flow.values[: sub.m]
@@ -189,14 +189,14 @@ def reference_routing(g: CapacitatedGraph, d: np.ndarray) -> tuple[float, FlowAs
         raise ValueError("demand crosses disconnected components; no routing exists")
 
     src, snk = g.n, g.n + 1
-    feas_tol = 1e-12 * supply
+    target = min(supply, float(-d[d < 0].sum())) - 1e-12 * supply
     ends = np.flatnonzero(d)
     tails = np.concatenate([g.tails, np.where(d[ends] > 0, src, ends)])
     heads = np.concatenate([g.heads, np.where(d[ends] > 0, ends, snk)])
 
     def attempt(kappa):
         solver = _Dinic(g.n + 2, tails, heads, np.concatenate([kappa * g.arc_caps, np.abs(d[ends])]))
-        return solver.solve(src, snk) >= supply - feas_tol, solver
+        return solver.solve(src, snk) >= target, solver
 
     violated = None
 

@@ -323,9 +323,9 @@ def test_exhaustive_rows_are_every_subset_through_zero(state, n):
 def test_resolve_builder_descriptors(rng):
     g = small_graph(rng, n_lo=4, n_hi=8)
     assert resolve_builder("exhaustive")(g, 0).kind == "exhaustive"
-    assert resolve_builder("tree")(g, 3).kind.startswith("tree")
     assert resolve_builder("multitree:4")(g, 0).kind == "multitree:4"
-    with pytest.raises(ValueError):
-        resolve_builder("numerology")
+    for descriptor in ("numerology", "tree", lambda g, seed: build_exhaustive(g)):
+        with pytest.raises(ValueError):
+            resolve_builder(descriptor)
     with pytest.raises(ValueError):
         resolve_builder("multitree:x")

@@ -90,11 +90,6 @@ class TestSolve:
         assert lines[0] == "iter,potential,branch,primal_gap"
         assert len(lines) >= 2
 
-    def test_negative_budget_exits_one(self, instance_file, capsys):
-        code, out, err = run(capsys, ["solve", "--input", instance_file(SINGLE_EDGE), "--budget", "-1"])
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and "budget" in err
-
     @pytest.mark.parametrize("w", [10**6, 10**10, 10**15, 2**62])
     def test_capacity_spread_solves(self, instance_file, capsys, w):
         g = CapacitatedGraph(4, [(0, 1, 5), (1, 2, 1), (2, 3, 1), (0, 3, w)])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from faircut import flowcut
 from faircut.approximator import CutMatrix, build_exhaustive, build_multi_tree, build_tree, operator_row_norms
 from faircut.driver import _make_state, iterate_once
 from faircut.flowcut import (
@@ -309,6 +310,14 @@ class TestFlowOrCut:
         with pytest.raises(ValueError, match="eps"):
             flow_or_cut(empty_residual(g), 0, 1, tau=1.0, eps=0.7, cuts=build_exhaustive(g))
 
+    @pytest.mark.parametrize("tau", [3.0, 7.0])
+    def test_negative_budget_rejected_before_the_max_flow(self, monkeypatch, tau):
+        # tau = 3 is decided by the warm flow, which never reads the budget;
+        # tau = 7 would enter the saddle loop.
+        monkeypatch.setattr(flowcut, "max_flow_exact", lambda *args: pytest.fail("max-flow ran first"))
+        with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+            flow_or_cut(empty_residual(single_edge(5)), 0, 1, tau, 0.1, refusing_builder, budget=-1)
+
     def test_saturated_residual_takes_reachability_cut(self):
         g = CapacitatedGraph(3, [(0, 1, 2), (1, 2, 1)])
         f = FlowAssignment.from_arc_dict(g, {(1, 2): 1.0})
@@ -337,7 +346,7 @@ class TestFlowOrCut:
                 assert s in out.cut.side and t not in out.cut.side
             else:
                 flows += 1
-                assert np.all(out.flow.values <= res.arc_caps * (1 + 1e-9) + g.tolerance)
+                assert np.all(out.flow.values <= res.arc_caps * (1 + 1e-9) + 1e-9 * g.arc_caps)
                 opt, _ = min_congestion_routing(g, out.residual_demand)
                 assert opt <= 0.1 + 1e-6
                 # the stated primal bound in matrix terms: gap within the slack

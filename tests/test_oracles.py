@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faircut import approximator, oracles
@@ -167,7 +167,7 @@ class TestMaxFlow:
         res = ResidualView(g, f)
         value, flow, cut = max_flow_exact(res, 0, g.n - 1)
         assert value >= -1e-12
-        assert np.all(flow.values <= res.arc_caps + g.tolerance)
+        assert np.all(flow.values <= res.arc_caps + 1e-9 * g.arc_caps)
 
 
 class TestMinCongestionRouting:
@@ -237,6 +237,8 @@ class TestMinCongestionRouting:
         scale=st.sampled_from([1e-6, 1.0, 1e3, 2.0**40]),
         seed=st.integers(0, 2**31),
     )
+    # Two near-equal normals cancel, so the demand balances only to 9e-12 relative.
+    @example(n=2, density=1.0, max_cap=1, kind="sparse", scale=1e-6, seed=788517)
     def test_matches_references(self, n, density, max_cap, kind, scale, seed):
         rng = np.random.default_rng(seed)
         g = random_connected_graph(n, int(min(n * (n - 1) // 2, round(density * n))), rng, max_cap=max_cap)
@@ -345,7 +347,7 @@ class TestVerifyFairness:
             assert np.allclose(d, st_demand(g.n, s, t, out.value), atol=1e-7)
             mask = cut.member_mask(g.n)
             for a in np.nonzero(mask[g.tails] & ~mask[g.heads])[0]:
-                assert w.values[a] >= g.arc_caps[a] / alpha - g.tolerance
+                assert w.values[a] >= g.arc_caps[a] / alpha - 1e-9 * g.arc_caps[a]
 
     def test_monotone_in_alpha(self, rng):
         for _ in range(10):
