@@ -17,7 +17,6 @@ from .dimacs import DimacsError, DimacsInstance, parse_dimacs, serialize_dimacs
 from .driver import (
     FairCutResult,
     IterationRecord,
-    IterationState,
     fair_cut,
     iterate_once,
     unsaturated_arcs,
@@ -42,7 +41,6 @@ from .graph import (
     add_flows,
     directed_cut_value,
     divergence,
-    net_flow_across,
     st_demand,
     undirected_cut_value,
 )

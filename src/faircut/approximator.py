@@ -16,6 +16,10 @@ tight the upper side is depends on the builder:
   rows are gathered with one index.
 * ``build_multi_tree`` unions several randomized trees, which can only
   shrink both the measured and the certified factor.
+
+A run names its builder by descriptor, ``exhaustive`` or ``multitree:K``;
+:func:`resolve_builder` maps it to a ``(graph, seed)`` callable, and the
+descriptor itself is what the result records.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ __all__ = [
     "build_multi_tree",
     "build_tree",
     "measure_alpha",
-    "row_boundary_values",
 ]
 
 EXHAUSTIVE_VERTEX_LIMIT = 20
@@ -57,7 +60,6 @@ class CutMatrix:
         indicator: sparse 0/1 membership matrix (rows x vertices, CSR), the
             only stored form of the rows.
         weights: per row, the exact reciprocal of the undirected cut value.
-        kind: builder descriptor, e.g. ``"exhaustive"`` or ``"multitree:8"``.
         alpha_bound: certified upper-bound factor (estimate * alpha_bound
             >= true optimal congestion); ``inf`` when no bound is known.
     """
@@ -67,7 +69,6 @@ class CutMatrix:
         n: int,
         rows: Union[sp.csr_matrix, Sequence[np.ndarray]],
         weights: np.ndarray,
-        kind: str = "custom",
         alpha_bound: float = float("inf"),
     ) -> None:
         """``rows`` is the indicator itself or one vertex-id array per row."""
@@ -77,7 +78,6 @@ class CutMatrix:
         self.n = n
         self.indicator = rows
         self.weights = np.asarray(weights, dtype=np.float64)
-        self.kind = kind
         self.alpha_bound = alpha_bound
         self._indicator_t: Optional[sp.csc_matrix] = None
         if rows.shape[0] != len(self.weights):
@@ -116,42 +116,6 @@ class CutMatrix:
         return self._indicator_t @ (self.weights * y)
 
 
-def row_boundary_values(cuts: CutMatrix, view) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, total arc capacity leaving and entering the cut side.
-
-    ``view`` is anything with ``tails``/``heads``/``arc_caps`` arrays (a
-    graph's bidirected arcs or a residual view).  :func:`operator_row_norms`
-    sums the two to bound each row's norm on the arc operator.
-    """
-    tails, heads, caps = view.tails, view.heads, np.asarray(view.arc_caps, dtype=np.float64)
-    num_arcs = len(tails)
-    M = cuts.indicator
-    ones = np.ones(num_arcs, dtype=np.float64)
-    sel_t = sp.csr_matrix((ones, (tails, np.arange(num_arcs))), shape=(cuts.n, num_arcs))
-    sel_h = sp.csr_matrix((ones, (heads, np.arange(num_arcs))), shape=(cuts.n, num_arcs))
-    tail_in = M @ sel_t
-    head_in = M @ sel_h
-    both_in = tail_in.multiply(head_in)
-    tail_total = tail_in @ caps
-    head_total = head_in @ caps
-    internal = both_in @ caps
-    out_bound = np.asarray(tail_total - internal).ravel()
-    in_bound = np.asarray(head_total - internal).ravel()
-    return out_bound, in_bound
-
-
-def operator_row_norms(cuts: CutMatrix, view) -> np.ndarray:
-    """l1 norm of each row of (weights * indicator) applied to the arc operator.
-
-    Row r of the composite map (cut matrix times divergence-times-capacity)
-    has entry ``w_r * cap_a * (1[tail in S_r] - 1[head in S_r])`` for arc a,
-    so its l1 norm is ``w_r`` times the capacity crossing S_r in either
-    direction.
-    """
-    out_bound, in_bound = row_boundary_values(cuts, view)
-    return cuts.weights * (out_bound + in_bound)
-
-
 def build_exhaustive(g: CapacitatedGraph) -> CutMatrix:
     """One row per proper vertex subset containing vertex 0 (exact, small n)."""
     n = g.n
@@ -172,7 +136,7 @@ def build_exhaustive(g: CapacitatedGraph) -> CutMatrix:
         raise ValueError("graph is disconnected; some enumerated cut has zero capacity")
     indptr = np.concatenate(([0], np.cumsum(bits.sum(axis=1))))
     indicator = _csr(np.nonzero(bits)[1], indptr, n)
-    return CutMatrix(n, indicator, 1.0 / caps, kind="exhaustive", alpha_bound=1.0)
+    return CutMatrix(n, indicator, 1.0 / caps, alpha_bound=1.0)
 
 
 def _spanning_tree(g: CapacitatedGraph, seed: Optional[int]) -> np.ndarray:
@@ -296,13 +260,7 @@ def build_tree(g: CapacitatedGraph, seed: Optional[int] = None) -> CutMatrix:
     indicator, caps, stretch = _tree_rows(g, tree_edges)
     if caps.size and caps.min() <= 0:
         raise ValueError("fundamental cut with zero capacity; graph must be connected")
-    return CutMatrix(
-        g.n,
-        indicator,
-        1.0 / caps,
-        kind="tree" if seed is None else f"tree@{seed}",
-        alpha_bound=max(1.0, stretch),
-    )
+    return CutMatrix(g.n, indicator, 1.0 / caps, alpha_bound=max(1.0, stretch))
 
 
 def build_multi_tree(g: CapacitatedGraph, k: int, seed: int = 0) -> CutMatrix:
@@ -327,7 +285,6 @@ def build_multi_tree(g: CapacitatedGraph, k: int, seed: int = 0) -> CutMatrix:
         g.n,
         _csr(indices[np.repeat(keep, lengths)], np.concatenate(([0], np.cumsum(lengths[keep]))), g.n),
         weights[keep],
-        kind=f"multitree:{k}",
         alpha_bound=min(m.alpha_bound for m in members),
     )
 
@@ -377,7 +334,7 @@ def measure_alpha(
     return worst
 
 
-BuilderFn = Callable[[CapacitatedGraph, Optional[int]], CutMatrix]
+BuilderFn = Callable[[CapacitatedGraph, int], CutMatrix]
 
 
 def resolve_builder(descriptor: str) -> BuilderFn:
@@ -401,5 +358,5 @@ def resolve_builder(descriptor: str) -> BuilderFn:
             raise ValueError(f"bad multitree count in {descriptor!r}") from exc
         if k < 1:
             raise ValueError(f"member count must be at least 1, got {k}")
-        return lambda g, seed: build_multi_tree(g, k, seed if seed is not None else 0)
+        return lambda g, seed: build_multi_tree(g, k, seed)
     raise ValueError(f"unknown approximator descriptor {descriptor!r}")

@@ -97,11 +97,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     except (OSError, DimacsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        resolve_builder(args.approximator)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
     log.info("solving n=%d m=%d eps=%g approximator=%s", graph.n, graph.m, args.epsilon, args.approximator)
     start = time.perf_counter()
@@ -135,7 +130,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             side_ids = json.load(fh)
         if not isinstance(side_ids, list):
             raise ValueError("cut file must hold a JSON list of vertex ids")
-        side = frozenset(int(v) for v in side_ids)
+        for v in side_ids:
+            if type(v) is not int or not 0 <= v < graph.n:
+                raise ValueError(f"cut file holds {json.dumps(v)}, not a vertex id in 0..{graph.n - 1}")
+        side = frozenset(side_ids)
     except (OSError, DimacsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -173,12 +171,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print("n,m,eps,iterations,final_potential,achieved_alpha,mincut_ratio,ms")
     for trial in range(args.trials):
         rng = np.random.default_rng(np.random.SeedSequence((args.seed, trial)))
-        graph, s, t = bench_instance(args.family, args.n, rng)
-        start = time.perf_counter()
-        result = fair_cut(
-            graph, s, t, eps=args.epsilon, approximator=args.approximator,
-            seed=args.seed + trial, certify=True,
-        )
+        try:
+            graph, s, t = bench_instance(args.family, args.n, rng)
+            start = time.perf_counter()
+            result = fair_cut(
+                graph, s, t, eps=args.epsilon, approximator=args.approximator,
+                seed=args.seed + trial, certify=True,
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         ms = (time.perf_counter() - start) * 1000.0
         exact = maxflow_value(graph, s, t)
         cut_value = undirected_cut_value(graph, result.cut)

@@ -38,7 +38,6 @@ class DimacsInstance:
     """Parsed instance prior to graph construction."""
 
     vertex_count: int
-    declared_arcs: int
     source: int
     sink: int
     arcs: tuple[tuple[int, int, int], ...]
@@ -60,7 +59,6 @@ def parse_dimacs(stream: Union[str, TextIO]) -> DimacsInstance:
         stream = io.StringIO(stream)
 
     n = None
-    declared = 0
     source = None
     sink = None
     arcs: list[tuple[int, int, int]] = []
@@ -77,7 +75,7 @@ def parse_dimacs(stream: Union[str, TextIO]) -> DimacsInstance:
             if len(parts) != 4 or parts[1] != "max":
                 raise DimacsError(lineno, f"malformed problem line {line!r}")
             try:
-                n, declared = int(parts[2]), int(parts[3])
+                n, _ = int(parts[2]), int(parts[3])
             except ValueError:
                 raise DimacsError(lineno, f"non-integer problem sizes in {line!r}") from None
             if n < 2:
@@ -131,13 +129,7 @@ def parse_dimacs(stream: Union[str, TextIO]) -> DimacsInstance:
         raise DimacsError(0, "missing sink designation")
     if source == sink:
         raise DimacsError(0, "source and sink coincide")
-    return DimacsInstance(
-        vertex_count=n,
-        declared_arcs=declared,
-        source=source,
-        sink=sink,
-        arcs=tuple(arcs),
-    )
+    return DimacsInstance(vertex_count=n, source=source, sink=sink, arcs=tuple(arcs))
 
 
 def serialize_dimacs(graph: CapacitatedGraph, s: int, t: int) -> str:

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .approximator import CutMatrix, resolve_builder
+from .approximator import BuilderFn, CutMatrix, resolve_builder
 from .flowcut import FlowResult, flow_or_cut
 from .graph import (
     REL_TOL,
@@ -40,7 +40,6 @@ from .oracles import min_fair_alpha
 __all__ = [
     "FairCutResult",
     "IterationRecord",
-    "IterationState",
     "fair_cut",
     "iterate_once",
     "unsaturated_arcs",
@@ -54,8 +53,6 @@ SATURATION_MARGIN = 4.0
 POTENTIAL_EXIT = 4.0
 THRESHOLD_FACTOR = 0.5
 CONTRACTION = 0.75
-
-Builder = Callable[[CapacitatedGraph, Optional[int]], CutMatrix]
 
 
 @dataclass
@@ -145,7 +142,7 @@ def _uncross(state: IterationState, x_cut: VertexCut) -> VertexCut:
 
 
 def _component_matrix(
-    graph: CapacitatedGraph, in_comp: np.ndarray, active: np.ndarray, builder: Builder, seed: Optional[int]
+    graph: CapacitatedGraph, in_comp: np.ndarray, active: np.ndarray, builder: BuilderFn, seed: int
 ) -> CutMatrix:
     """``builder``'s matrix for the subgraph on ``in_comp``, lifted to ``graph``'s vertex ids.
 
@@ -156,14 +153,14 @@ def _component_matrix(
     cuts = builder(sub, seed)
     rows = cuts.indicator
     lifted = sp.csr_matrix((rows.data, vkeep[rows.indices], rows.indptr), shape=(rows.shape[0], graph.n))
-    return CutMatrix(graph.n, lifted, cuts.weights, kind=cuts.kind, alpha_bound=cuts.alpha_bound)
+    return CutMatrix(graph.n, lifted, cuts.weights, alpha_bound=cuts.alpha_bound)
 
 
 def iterate_once(
     state: IterationState,
     eps: float,
-    builder: Builder,
-    seed: Optional[int] = None,
+    builder: BuilderFn,
+    seed: int = 0,
 ) -> tuple[IterationState, IterationRecord]:
     """One driver round: call the primitive, grow the flow or move the cut.
 

@@ -43,7 +43,6 @@ from .graph import (
     ResidualView,
     VertexCut,
     directed_cut_value,
-    divergence,
     st_demand,
 )
 from .oracles import max_flow_exact
@@ -116,9 +115,8 @@ def reduce_problem(residual: ResidualView, demand: np.ndarray, cuts: CutMatrix) 
     """Assemble the scaled row system for a residual view and a demand.
 
     Raises:
-        ValueError: for a cut matrix with non-positive or non-finite row
-            weights, a mismatched demand length, or a matrix that carries
-            no certified ``alpha_bound``.
+        ValueError: for a mismatched demand length or vertex count, or a
+            matrix that carries no certified ``alpha_bound``.
     """
     n = residual.n
     demand = np.asarray(demand, dtype=np.float64)
@@ -126,8 +124,6 @@ def reduce_problem(residual: ResidualView, demand: np.ndarray, cuts: CutMatrix) 
         raise ValueError(f"demand must have {n} entries")
     if cuts.n != n:
         raise ValueError("cut matrix was built for a different vertex count")
-    if cuts.weights.size and (not np.all(np.isfinite(cuts.weights)) or cuts.weights.min() <= 0):
-        raise ValueError("cut matrix contains a zero-capacity row")
     alpha = cuts.alpha_bound
     if not (math.isfinite(alpha) and alpha >= 1):
         raise ValueError("no usable congestion factor: the cut matrix carries no certified bound")
@@ -251,9 +247,7 @@ def saddle_solve(
     return ExhaustedOutcome(best_x, best_gap, budget)
 
 
-def threshold_cut(
-    view, phi: np.ndarray, d: np.ndarray, source: Optional[int] = None, sink: Optional[int] = None
-) -> VertexCut:
+def threshold_cut(view, phi: np.ndarray, d: np.ndarray) -> VertexCut:
     """First decreasing-potential prefix whose demand beats its boundary.
 
     Vertices are sorted by decreasing ``phi`` with ties broken by vertex id.
@@ -288,7 +282,7 @@ def threshold_cut(
     hits = np.flatnonzero(np.cumsum(d[order[: n - 1]]) > boundary)
     if not hits.size:
         raise ThresholdCutError("no decreasing-potential prefix has demand above its boundary")
-    return VertexCut(frozenset(order[: hits[0] + 1].tolist()), source=source, sink=sink)
+    return VertexCut(frozenset(order[: hits[0] + 1].tolist()))
 
 
 @dataclass
@@ -303,7 +297,6 @@ class FlowResult:
     flow: FlowAssignment
     primal_gap: float
     iterations: int
-    residual_demand: np.ndarray
 
 
 @dataclass
@@ -314,7 +307,6 @@ class CutResult:
     value: float
     iterations: int
     via: str
-    witness: Optional[DualWitness] = None
 
 
 def flow_or_cut(
@@ -323,7 +315,7 @@ def flow_or_cut(
     t: int,
     tau: float,
     eps: float,
-    cuts: Union[CutMatrix, Callable[[], CutMatrix]],
+    cuts: Callable[[], CutMatrix],
     budget: int = SADDLE_BUDGET,
 ) -> Union[FlowResult, CutResult]:
     """Feasible flow toward ``tau`` units s->t, or a cut below ``tau``.
@@ -336,11 +328,10 @@ def flow_or_cut(
     The exact warm-start max-flow is computed first.  When it reaches
     ``tau`` the flow outcome is returned at once, for any nonnegative
     ``budget``, with ``iterations=0``, ``primal_gap=0.0`` and no cut matrix.
-    Otherwise the cut matrix is needed: ``cuts`` may be the matrix itself or
-    a zero-argument callable that builds it, called once and only on this
-    path.  A saddle loop of at most ``budget`` rounds that ends without a
-    primal point or a swept cut below ``tau`` yields the max-flow's min
-    cut, ``via="salvage"``.
+    Otherwise the cut matrix is needed: ``cuts`` is a zero-argument callable
+    that builds it, called once and only on this path.  A saddle loop of at
+    most ``budget`` rounds that ends without a primal point or a swept cut
+    below ``tau`` yields the max-flow's min cut, ``via="salvage"``.
 
     Raises:
         ValueError: ``tau <= 0``, ``eps`` outside ``(0, 1/2)``, a negative
@@ -366,32 +357,23 @@ def flow_or_cut(
     caps = residual.arc_caps
     with np.errstate(divide="ignore", invalid="ignore"):
         base_x = np.where(caps > 0, warm.values / np.maximum(caps, 1e-300), 0.0)
-    demand = st_demand(graph.n, s, t, tau)
     if maxflow >= tau * (1.0 - 1e-12):
         flow = FlowAssignment(graph, np.clip(base_x * (tau / maxflow), 0.0, 1.0) * caps)
-        return FlowResult(flow=flow, primal_gap=0.0, iterations=0, residual_demand=demand - divergence(flow))
+        return FlowResult(flow=flow, primal_gap=0.0, iterations=0)
 
-    if not isinstance(cuts, CutMatrix):
-        cuts = cuts()
-    problem = reduce_problem(residual, demand, cuts)
+    problem = reduce_problem(residual, st_demand(graph.n, s, t, tau), cuts())
     slack = (eps / EPSILON_SHRINK) / problem.alpha
     outcome = saddle_solve(problem, slack, budget, x0=np.clip(base_x, 0.0, 1.0))
 
     if isinstance(outcome, PrimalCertificate):
         flow = FlowAssignment(graph, outcome.x * caps)
-        leftover = demand - divergence(flow)
-        return FlowResult(
-            flow=flow,
-            primal_gap=outcome.gap,
-            iterations=outcome.iterations,
-            residual_demand=leftover,
-        )
+        return FlowResult(flow=flow, primal_gap=outcome.gap, iterations=outcome.iterations)
 
     if isinstance(outcome, DualWitness):
         cut = VertexCut(outcome.side, source=s, sink=t)
         value = directed_cut_value(residual, cut)
         if value < tau:
-            return CutResult(cut=cut, value=value, iterations=outcome.iterations, via="threshold-cut", witness=outcome)
+            return CutResult(cut=cut, value=value, iterations=outcome.iterations, via="threshold-cut")
 
     # The budget expired, or the swept side's float sums hid a boundary at
     # or above tau.

@@ -7,8 +7,8 @@ Conventions shared by every module in this package:
   capacity ``caps[e]`` induces two antiparallel arcs of equal capacity:
   arc ``e`` runs ``us[e] -> vs[e]`` and arc ``e + m`` runs ``vs[e] -> us[e]``.
 * Per-arc quantities (flows, residual capacities) are dense ``float64``
-  arrays of length ``2 * m`` in that arc order, so ``reverse_arc(a)`` is
-  just ``(a + m) % (2 * m)``.
+  arrays of length ``2 * m`` in that arc order, so the reverse of arc ``a``
+  is arc ``(a + m) % (2 * m)``.
 
 Capacities are 64-bit integers; flows are 64-bit floats.  Every per-arc
 "is zero" / "is saturated" comparison in the package allows float error of
@@ -19,7 +19,7 @@ arc is judged on its own scale whatever the largest capacity is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "add_flows",
     "directed_cut_value",
     "divergence",
-    "net_flow_across",
     "st_demand",
     "undirected_cut_value",
 ]
@@ -112,9 +111,6 @@ class CapacitatedGraph:
 
     # ------------------------------------------------------------------
     # arc helpers
-
-    def reverse_arc(self, a: int) -> int:
-        return (a + self.m) % (2 * self.m)
 
     def edge_of_arc(self, a) -> int:
         return a % self.m
@@ -217,15 +213,6 @@ class FlowAssignment:
             values = np.maximum(values, 0.0)
         self.values = values
 
-    @classmethod
-    def from_arc_dict(
-        cls, graph: CapacitatedGraph, flows: Mapping[tuple[int, int], float]
-    ) -> "FlowAssignment":
-        values = np.zeros(graph.num_arcs, dtype=np.float64)
-        for (u, v), x in flows.items():
-            values[graph.arc_index(u, v)] = float(x)
-        return cls(graph, values)
-
     def flow(self, u: int, v: int) -> float:
         return float(self.values[self.graph.arc_index(u, v)])
 
@@ -234,11 +221,6 @@ class FlowAssignment:
         if self.graph.m == 0:
             return 0.0
         return float(np.max(self.values / self.graph.arc_caps))
-
-    def scaled(self, factor: float) -> "FlowAssignment":
-        if factor < 0:
-            raise ValueError("flow scale must be nonnegative")
-        return FlowAssignment(self.graph, self.values * factor)
 
     def cancel_antiparallel(self) -> "FlowAssignment":
         """Cancel min(f(u,v), f(v,u)) on every arc pair.
@@ -284,7 +266,6 @@ class ResidualView:
         self.active_edges = active
         act2 = np.concatenate([active, active])
         restricted = np.where(act2, flow.values, 0.0)
-        self.restricted_values = restricted
         caps = np.where(act2, graph.arc_caps, 0.0)
         fwd, bwd = restricted[:m], restricted[m:]
         raw = caps - restricted + np.concatenate([bwd, fwd])
@@ -303,9 +284,6 @@ class ResidualView:
     @property
     def heads(self) -> np.ndarray:
         return self.graph.heads
-
-    def capacity(self, u: int, v: int) -> float:
-        return float(self.arc_caps[self.graph.arc_index(u, v)])
 
 
 @dataclass(frozen=True)
@@ -356,16 +334,12 @@ def directed_cut_value(g, cut: VertexCut) -> float:
     return float(caps[crossing].sum())
 
 
-def undirected_cut_value(
-    graph: CapacitatedGraph, cut: VertexCut, active_edges: Optional[np.ndarray] = None
-) -> float:
+def undirected_cut_value(graph: CapacitatedGraph, cut: VertexCut) -> float:
     """Total capacity of undirected edges with exactly one endpoint in S."""
     if len(cut.side) >= graph.n:
         raise ValueError("improper cut: side covers every vertex")
     mask = cut.member_mask(graph.n)
     crossing = mask[graph.us] != mask[graph.vs]
-    if active_edges is not None:
-        crossing &= active_edges
     # A sum of int64 capacities can pass 2**63 - 1; Python integers cannot overflow.
     return float(sum(graph.caps[crossing].tolist()))
 
@@ -380,17 +354,6 @@ def divergence(flow: FlowAssignment) -> np.ndarray:
     out = np.bincount(g.tails, weights=flow.values, minlength=g.n)
     inc = np.bincount(g.heads, weights=flow.values, minlength=g.n)
     return out - inc
-
-
-def net_flow_across(flow: FlowAssignment, cut: VertexCut) -> float:
-    """Flow leaving S minus flow entering S."""
-    g = flow.graph
-    mask = cut.member_mask(g.n)
-    tail_in = mask[g.tails]
-    head_in = mask[g.heads]
-    forward = flow.values[tail_in & ~head_in].sum()
-    backward = flow.values[~tail_in & head_in].sum()
-    return float(forward - backward)
 
 
 def add_flows(f: FlowAssignment, g: FlowAssignment) -> FlowAssignment:

@@ -374,7 +374,7 @@ def verify_fairness(
     excess from an auxiliary source, and close the (s,t) pair with a
     return arc.
     """
-    if alpha < 1:
+    if not alpha >= 1:
         raise ValueError(f"fairness factor must be at least 1, got {alpha}")
     return _FairnessNetwork(g, cut).check(alpha)
 

@@ -11,7 +11,7 @@ bisection over the library's max-flow, to check its Newton steps.
 
 import math
 from itertools import combinations
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 import pytest
@@ -54,6 +54,43 @@ def brute_opt_congestion(g: CapacitatedGraph, d: np.ndarray) -> float:
             return float("inf")
         best = max(best, delta / value)
     return best
+
+
+def from_arc_dict(graph: CapacitatedGraph, flows: Mapping[tuple[int, int], float]) -> FlowAssignment:
+    """The flow with value ``x`` on arc ``u -> v`` for each ``(u, v): x``, zero elsewhere."""
+    values = np.zeros(graph.num_arcs, dtype=np.float64)
+    for (u, v), x in flows.items():
+        values[graph.arc_index(u, v)] = float(x)
+    return FlowAssignment(graph, values)
+
+
+def net_flow_across(flow: FlowAssignment, cut: VertexCut) -> float:
+    """Flow leaving S minus flow entering S."""
+    g = flow.graph
+    mask = cut.member_mask(g.n)
+    tail_in, head_in = mask[g.tails], mask[g.heads]
+    return float(flow.values[tail_in & ~head_in].sum() - flow.values[~tail_in & head_in].sum())
+
+
+def operator_row_norms(cuts, view) -> np.ndarray:
+    """Per row, the l1 norm of the cut matrix composed with the arc operator, densely.
+
+    Row r's entry on arc a is ``w_r * cap_a * (1[tail in S_r] - 1[head in S_r])``,
+    so its norm is ``w_r`` times the capacity crossing S_r in either direction.
+    ``view`` is anything with ``tails``/``heads``/``arc_caps`` arrays.
+    """
+    M = cuts.indicator.toarray().astype(bool)
+    caps = np.asarray(view.arc_caps, dtype=np.float64)
+    return cuts.weights * ((M[:, view.tails] != M[:, view.heads]) @ caps)
+
+
+def assert_same_matrix(a, b) -> None:
+    """Equal CSR indicator arrays, row weights and ``alpha_bound``."""
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a.indicator, name), getattr(b.indicator, name)), name
+    assert a.indicator.shape == b.indicator.shape
+    assert np.array_equal(a.weights, b.weights)
+    assert a.alpha_bound == b.alpha_bound
 
 
 def brute_directed_cut(tails, heads, caps, side: set, n: int) -> float:
@@ -124,7 +161,7 @@ def bfs_components(n: int, us, vs, active=None) -> list[frozenset]:
     return parts
 
 
-def reference_round(state, eps: float, builder, seed=None):
+def reference_round(state, eps: float, builder, seed: int = 0):
     """One driver round solved on an induced copy of s's component.
 
     Copies the unmasked edges of the component of s, remaps s and t, runs

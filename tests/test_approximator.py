@@ -12,7 +12,6 @@ from faircut.approximator import (
     build_multi_tree,
     build_tree,
     measure_alpha,
-    operator_row_norms,
     resolve_builder,
 )
 from faircut.graph import (
@@ -24,7 +23,15 @@ from faircut.graph import (
 from faircut.generators import random_connected_graph, random_feasible_flow
 from faircut.oracles import min_congestion_routing
 
-from conftest import bfs_components, brute_opt_congestion, reference_kruskal, reference_tree_rows, small_graph
+from conftest import (
+    assert_same_matrix,
+    bfs_components,
+    brute_opt_congestion,
+    operator_row_norms,
+    reference_kruskal,
+    reference_tree_rows,
+    small_graph,
+)
 
 
 class TestApply:
@@ -289,7 +296,7 @@ def test_tree_rows_match_reference(state, k, seed):
         assert [tuple(r) for r in member.rows] == rows
         np.testing.assert_allclose(member.weights, 1.0 / np.asarray(crossings), rtol=1e-12, atol=0)
         assert member.alpha_bound == pytest.approx(max(1.0, stretch), rel=1e-12)
-        assert member.kind == f"tree@{seed + j}"
+        assert_same_matrix(member, build_multi_tree(g, 1, seed + j))
         bound = min(bound, max(1.0, stretch))
         for row, crossing in zip(rows, crossings):
             first.setdefault(row, 1.0 / crossing)
@@ -297,7 +304,7 @@ def test_tree_rows_match_reference(state, k, seed):
     assert [tuple(r) for r in multi.rows] == list(first)
     np.testing.assert_allclose(multi.weights, list(first.values()), rtol=1e-12, atol=0)
     assert multi.alpha_bound == pytest.approx(bound, rel=1e-12)
-    assert multi.kind == f"multitree:{k}"
+    assert_same_matrix(multi, resolve_builder(f"multitree:{k}")(g, seed))
 
 
 @settings(max_examples=40, deadline=None)
@@ -322,8 +329,8 @@ def test_exhaustive_rows_are_every_subset_through_zero(state, n):
 
 def test_resolve_builder_descriptors(rng):
     g = small_graph(rng, n_lo=4, n_hi=8)
-    assert resolve_builder("exhaustive")(g, 0).kind == "exhaustive"
-    assert resolve_builder("multitree:4")(g, 0).kind == "multitree:4"
+    assert_same_matrix(resolve_builder("exhaustive")(g, 0), build_exhaustive(g))
+    assert_same_matrix(resolve_builder("multitree:4")(g, 0), build_multi_tree(g, 4, 0))
     for descriptor in ("numerology", "tree", lambda g, seed: build_exhaustive(g)):
         with pytest.raises(ValueError):
             resolve_builder(descriptor)

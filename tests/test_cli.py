@@ -135,6 +135,23 @@ class TestVerify:
         assert code == 1
         assert "separate" in err
 
+    @pytest.mark.parametrize("side", ["[0, 99]", "[0, -1]", "[0, 1.7]", "[0, true]"])
+    def test_cut_ids_must_be_vertex_ids(self, instance_file, tmp_path, capsys, side):
+        path = instance_file(PATH_INSTANCE)
+        cut = tmp_path / "cut.json"
+        cut.write_text(side)
+        code, out, err = run(capsys, ["verify", "--input", path, "--cut", str(cut), "--alpha", "1.5"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "not a vertex id in 0..2" in err
+
+    def test_nan_alpha_exits_one(self, instance_file, tmp_path, capsys):
+        path = instance_file(PATH_INSTANCE)
+        cut = tmp_path / "cut.json"
+        cut.write_text("[0, 1]")
+        code, out, err = run(capsys, ["verify", "--input", path, "--cut", str(cut), "--alpha", "nan"])
+        assert code == 1 and out.strip() == ""
+        assert err.startswith("error: ") and "at least 1" in err
+
 
 class TestBench:
     def test_path_family_schema(self, capsys):
@@ -154,6 +171,15 @@ class TestBench:
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, ["bench", "--family", "moebius", "--n", "8"])
         assert code == 1 and "unknown family" in err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(["--n", "1"], "source and sink must differ"), (["--n", "8", "--epsilon", "0.2"], "eps must lie in")],
+    )
+    def test_bad_arguments_exit_one(self, capsys, args, message):
+        code, _, err = run(capsys, ["bench", "--family", "path", *args])
+        assert code == 1
+        assert err.startswith("error: ") and message in err
 
     def test_random_family_rows_valid(self, capsys):
         code, out, _ = run(capsys, ["bench", "--family", "random", "--n", "20", "--trials", "3", "--seed", "5"])

@@ -28,6 +28,10 @@ class TestParse:
         with pytest.raises(DimacsError, match="line 4.*out of range"):
             parse_dimacs(text)
 
+    def test_problem_arc_count_must_be_an_integer(self):
+        with pytest.raises(DimacsError, match="line 1.*non-integer problem sizes"):
+            parse_dimacs("p max 2 x\nn 1 s\nn 2 t\na 1 2 3\n")
+
     def test_missing_problem_line(self):
         with pytest.raises(DimacsError, match="problem line"):
             parse_dimacs("n 1 s\nn 2 t\na 1 2 3\n")

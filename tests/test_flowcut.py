@@ -4,7 +4,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from faircut import flowcut
-from faircut.approximator import CutMatrix, build_exhaustive, build_multi_tree, build_tree, operator_row_norms
+from faircut.approximator import CutMatrix, build_exhaustive, build_multi_tree, build_tree
 from faircut.driver import _make_state, iterate_once
 from faircut.flowcut import (
     CutResult,
@@ -24,12 +24,13 @@ from faircut.graph import (
     ResidualView,
     VertexCut,
     directed_cut_value,
+    divergence,
     st_demand,
 )
 from faircut.generators import random_connected_graph, random_feasible_flow
 from faircut.oracles import max_flow_exact, min_congestion_routing
 
-from conftest import brute_directed_cut, reference_sweep, small_graph
+from conftest import brute_directed_cut, from_arc_dict, operator_row_norms, reference_sweep, small_graph
 
 
 def single_edge(cap=1):
@@ -176,7 +177,7 @@ class TestWitnessPotential:
         problem = self._problem()
         for scale in (0.25, 1.0, 17.0):
             phi = problem.scaled_pullback(np.array([scale]))
-            cut = threshold_cut(problem.residual, phi, problem.demand, 0, 1)
+            cut = threshold_cut(problem.residual, phi, problem.demand)
             assert cut.side == frozenset({0})
 
 
@@ -185,7 +186,7 @@ class TestThresholdCut:
         g = single_edge(1)
         res = empty_residual(g)
         d = st_demand(2, 0, 1, 2.0)
-        cut = threshold_cut(res, np.array([1.0, 0.0]), d, 0, 1)
+        cut = threshold_cut(res, np.array([1.0, 0.0]), d)
         assert cut.side == frozenset({0})
         # recompute: demand inside 2 > boundary 1
         assert directed_cut_value(res, cut) == 1.0
@@ -194,16 +195,16 @@ class TestThresholdCut:
         g = single_edge(1)
         res = empty_residual(g)
         with pytest.raises(ThresholdCutError):
-            threshold_cut(res, np.zeros(2), st_demand(2, 0, 1, 1.0), 0, 1)
+            threshold_cut(res, np.zeros(2), st_demand(2, 0, 1, 1.0))
 
     def test_cancelled_boundary_never_lets_zero_demand_violate(self):
         # Prefix {0, 1, 2} holds s and t, and nothing leaves it, but its
         # running boundary sum cancels to -2.2e-16 instead of 0.
         g = CapacitatedGraph(4, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 1)])
-        flow = FlowAssignment.from_arc_dict(g, {(0, 1): 0.2, (0, 2): 0.4, (1, 2): 0.4})
+        flow = from_arc_dict(g, {(0, 1): 0.2, (0, 2): 0.4, (1, 2): 0.4})
         res = ResidualView(g, flow, active_edges=np.array([True, True, True, False]))
         with pytest.raises(ThresholdCutError):
-            threshold_cut(res, np.array([3.0, 2.0, 1.0, 0.0]), st_demand(4, 0, 2, 0.05), 0, 2)
+            threshold_cut(res, np.array([3.0, 2.0, 1.0, 0.0]), st_demand(4, 0, 2, 0.05))
 
     def test_fuzz_violating_prefix(self, rng):
         found = 0
@@ -240,7 +241,7 @@ class TestThresholdCut:
             tau = boundary * float(rng.uniform(1.01, 2.0)) + 0.01
             phi = np.zeros(g.n)
             phi[sorted(side)] = 1.0
-            cut = threshold_cut(res, phi, st_demand(g.n, s, t, tau), s, t)
+            cut = threshold_cut(res, phi, st_demand(g.n, s, t, tau))
             assert s in cut.side and t not in cut.side
             value = brute_directed_cut(g.tails, g.heads, res.arc_caps, set(cut.side), g.n)
             assert value < tau
@@ -287,15 +288,15 @@ class TestFlowOrCut:
     def test_single_edge_flow_side(self):
         g = single_edge(5)
         res = empty_residual(g)
-        out = flow_or_cut(res, 0, 1, tau=3.0, eps=0.1, cuts=build_exhaustive(g))
+        out = flow_or_cut(res, 0, 1, tau=3.0, eps=0.1, cuts=lambda: build_exhaustive(g))
         assert isinstance(out, FlowResult)
-        opt, _ = min_congestion_routing(g, out.residual_demand)
+        opt, _ = min_congestion_routing(g, st_demand(2, 0, 1, 3.0) - divergence(out.flow))
         assert opt <= 0.1 + 1e-9
 
     def test_single_edge_cut_side(self):
         g = single_edge(5)
         res = empty_residual(g)
-        out = flow_or_cut(res, 0, 1, tau=7.0, eps=0.1, cuts=build_exhaustive(g))
+        out = flow_or_cut(res, 0, 1, tau=7.0, eps=0.1, cuts=lambda: build_exhaustive(g))
         assert isinstance(out, CutResult)
         assert out.cut.side == frozenset({0})
         assert out.value == pytest.approx(5.0)
@@ -303,12 +304,12 @@ class TestFlowOrCut:
     def test_zero_tau_rejected(self):
         g = single_edge(1)
         with pytest.raises(ValueError, match="threshold"):
-            flow_or_cut(empty_residual(g), 0, 1, tau=0.0, eps=0.1, cuts=build_exhaustive(g))
+            flow_or_cut(empty_residual(g), 0, 1, tau=0.0, eps=0.1, cuts=lambda: build_exhaustive(g))
 
     def test_bad_eps_rejected(self):
         g = single_edge(1)
         with pytest.raises(ValueError, match="eps"):
-            flow_or_cut(empty_residual(g), 0, 1, tau=1.0, eps=0.7, cuts=build_exhaustive(g))
+            flow_or_cut(empty_residual(g), 0, 1, tau=1.0, eps=0.7, cuts=lambda: build_exhaustive(g))
 
     @pytest.mark.parametrize("tau", [3.0, 7.0])
     def test_negative_budget_rejected_before_the_max_flow(self, monkeypatch, tau):
@@ -320,9 +321,9 @@ class TestFlowOrCut:
 
     def test_saturated_residual_takes_reachability_cut(self):
         g = CapacitatedGraph(3, [(0, 1, 2), (1, 2, 1)])
-        f = FlowAssignment.from_arc_dict(g, {(1, 2): 1.0})
+        f = from_arc_dict(g, {(1, 2): 1.0})
         res = ResidualView(g, f)
-        out = flow_or_cut(res, 0, 2, tau=0.5, eps=0.1, cuts=build_exhaustive(g))
+        out = flow_or_cut(res, 0, 2, tau=0.5, eps=0.1, cuts=lambda: build_exhaustive(g))
         assert isinstance(out, CutResult)
         assert out.via == "reachability"
         assert out.value == 0.0 and out.cut.side == frozenset({0, 1})
@@ -338,7 +339,7 @@ class TestFlowOrCut:
             mf, _, _ = max_flow_exact(res, s, t)
             tau = max(float(mf) * float(rng.uniform(0.3, 1.8)), 0.05)
             cuts = build_exhaustive(g) if n <= 12 else build_multi_tree(g, 8, seed=i)
-            out = flow_or_cut(res, s, t, tau, eps=0.1, cuts=cuts, budget=300)
+            out = flow_or_cut(res, s, t, tau, eps=0.1, cuts=lambda: cuts, budget=300)
             if isinstance(out, CutResult):
                 cutscount += 1
                 value = brute_directed_cut(g.tails, g.heads, res.arc_caps, set(out.cut.side), n)
@@ -347,7 +348,7 @@ class TestFlowOrCut:
             else:
                 flows += 1
                 assert np.all(out.flow.values <= res.arc_caps * (1 + 1e-9) + 1e-9 * g.arc_caps)
-                opt, _ = min_congestion_routing(g, out.residual_demand)
+                opt, _ = min_congestion_routing(g, st_demand(n, s, t, tau) - divergence(out.flow))
                 assert opt <= 0.1 + 1e-6
                 # the stated primal bound in matrix terms: gap within the slack
                 prob = reduce_problem(res, st_demand(n, s, t, tau), cuts)
@@ -358,8 +359,8 @@ class TestFlowOrCut:
         g = random_connected_graph(15, 30, rng, max_cap=10)
         res = empty_residual(g)
         cuts = build_multi_tree(g, 4, seed=9)
-        a = flow_or_cut(res, 0, 14, 3.0, 0.05, cuts, budget=200)
-        b = flow_or_cut(res, 0, 14, 3.0, 0.05, cuts, budget=200)
+        a = flow_or_cut(res, 0, 14, 3.0, 0.05, lambda: cuts, budget=200)
+        b = flow_or_cut(res, 0, 14, 3.0, 0.05, lambda: cuts, budget=200)
         assert type(a) is type(b)
         if isinstance(a, FlowResult):
             assert np.array_equal(a.flow.values, b.flow.values)
@@ -377,7 +378,7 @@ class TestSalvage:
             res = empty_residual(g)
             maxflow, _, _ = max_flow_exact(res, s, t)
             tau = float(rng.uniform(1.01, 1.3)) * maxflow
-            out = flow_or_cut(res, s, t, tau, eps=0.1, cuts=build_tree(g, seed=i), budget=0)
+            out = flow_or_cut(res, s, t, tau, eps=0.1, cuts=lambda: build_tree(g, seed=i), budget=0)
             assert isinstance(out, CutResult) and out.via == "salvage"
             assert s in out.cut.side and t not in out.cut.side
             value = brute_directed_cut(g.tails, g.heads, res.arc_caps, out.cut.side, g.n)
@@ -395,35 +396,35 @@ class TestExits:
         out = flow_or_cut(empty_residual(single_edge(5)), 0, 1, 3.0, 0.1, refusing_builder, budget=0)
         assert isinstance(out, FlowResult)
         assert (out.iterations, out.primal_gap) == (0, 0.0)
-        assert np.allclose(out.residual_demand, 0.0)
+        assert np.allclose(st_demand(2, 0, 1, 3.0) - divergence(out.flow), 0.0)
 
     def test_saddle_primal_at_iteration_zero(self):
         # tau a hair above the max-flow: the warm flow is not scaled, and the
         # loop's first check finds it within the slack.
         g = single_edge(5)
-        out = flow_or_cut(empty_residual(g), 0, 1, 5.0 * (1 + 1e-6), 0.1, build_exhaustive(g))
+        out = flow_or_cut(empty_residual(g), 0, 1, 5.0 * (1 + 1e-6), 0.1, lambda: build_exhaustive(g))
         assert isinstance(out, FlowResult) and out.iterations == 0
         assert 0.0 < out.primal_gap <= 0.1 / 4.0
 
     def test_threshold_cut(self):
         g = single_edge(5)
-        out = flow_or_cut(empty_residual(g), 0, 1, 7.0, 0.1, build_exhaustive(g))
+        out = flow_or_cut(empty_residual(g), 0, 1, 7.0, 0.1, lambda: build_exhaustive(g))
         assert isinstance(out, CutResult) and out.via == "threshold-cut"
-        assert out.witness.side == out.cut.side == frozenset({0})
+        assert (out.cut.side, out.value, out.iterations) == (frozenset({0}), 5.0, 1)
 
     def test_min_cut_after_exhaustion(self):
         g = CapacitatedGraph(3, [(0, 1, 4), (1, 2, 1)])
         res = empty_residual(g)
-        out = flow_or_cut(res, 0, 2, 3.0, 0.1, build_exhaustive(g), budget=0)
+        out = flow_or_cut(res, 0, 2, 3.0, 0.1, lambda: build_exhaustive(g), budget=0)
         assert isinstance(out, CutResult) and out.via == "salvage"
         assert out.cut.side == max_flow_exact(res, 0, 2)[2].side == frozenset({0, 1})
-        assert (out.value, out.iterations, out.witness) == (1.0, 0, None)
+        assert (out.value, out.iterations) == (1.0, 0)
 
     def test_min_cut_after_the_swept_side_fails_the_exact_check(self):
         # At W = 2**62 the sweep's float boundary sums cancel W against 5 + W,
         # so a side of true value at least tau looks violated.
         g = CapacitatedGraph(4, [(0, 1, 5), (1, 2, 1), (2, 3, 1), (0, 3, 2**62)])
-        out = flow_or_cut(empty_residual(g), 0, 2, 3.0, 0.05, build_exhaustive(g), budget=1000)
+        out = flow_or_cut(empty_residual(g), 0, 2, 3.0, 0.05, lambda: build_exhaustive(g), budget=1000)
         assert isinstance(out, CutResult) and out.via == "salvage"
         assert out.iterations == 1  # a witness in round 1, not an expired budget
         assert out.cut.side == frozenset({0, 1, 3}) and out.value == 2.0
@@ -442,7 +443,7 @@ class TestLazyCutMatrix:
         out = flow_or_cut(empty_residual(g), 0, 1, tau=5.0, eps=0.1, cuts=refusing_builder)
         assert isinstance(out, FlowResult)
         assert out.iterations == 0 and out.primal_gap == 0.0
-        assert np.allclose(out.residual_demand, 0.0)
+        assert np.allclose(st_demand(2, 0, 1, 5.0) - divergence(out.flow), 0.0)
         for _ in range(10):
             n = int(rng.integers(4, 30))
             g = random_connected_graph(n, 2 * n, rng, max_cap=20)
@@ -453,7 +454,7 @@ class TestLazyCutMatrix:
             tau = float(mf) * float(rng.uniform(0.3, 1.0))
             out = flow_or_cut(res, 0, n - 1, tau, eps=0.1, cuts=refusing_builder)
             assert isinstance(out, FlowResult) and out.iterations == 0
-            assert np.abs(out.residual_demand).max() <= 1e-9 * tau
+            assert np.abs(st_demand(n, 0, n - 1, tau) - divergence(out.flow)).max() <= 1e-9 * tau
 
     def test_cut_round_builds_once(self):
         g = CapacitatedGraph(3, [(0, 1, 4), (1, 2, 1)])

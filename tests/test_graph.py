@@ -13,13 +13,12 @@ from faircut.graph import (
     add_flows,
     directed_cut_value,
     divergence,
-    net_flow_across,
     st_demand,
     undirected_cut_value,
 )
 from faircut.generators import random_connected_graph, random_feasible_flow
 
-from conftest import bfs_components, small_graph
+from conftest import bfs_components, from_arc_dict, net_flow_across, small_graph
 
 
 def path_2_1():
@@ -52,7 +51,7 @@ class TestCapacitatedGraph:
         assert g.num_arcs == 4
         a = g.arc_index(0, 1)
         assert g.tails[a] == 0 and g.heads[a] == 1
-        rev = g.reverse_arc(a)
+        rev = (a + g.m) % g.num_arcs
         assert g.tails[rev] == 1 and g.heads[rev] == 0
         assert g.arc_caps[a] == g.arc_caps[rev] == 2
 
@@ -69,10 +68,10 @@ class TestCapacitatedGraph:
 class TestResidualView:
     def test_formula(self):
         g = CapacitatedGraph(2, [(0, 1, 2)])
-        f = FlowAssignment.from_arc_dict(g, {(0, 1): 1.5})
+        f = from_arc_dict(g, {(0, 1): 1.5})
         r = ResidualView(g, f)
-        assert r.capacity(0, 1) == pytest.approx(0.5)
-        assert r.capacity(1, 0) == pytest.approx(3.5)
+        assert r.arc_caps[g.arc_index(0, 1)] == pytest.approx(0.5)
+        assert r.arc_caps[g.arc_index(1, 0)] == pytest.approx(3.5)
 
     def test_empty_flow_is_identity(self):
         g = path_2_1()
@@ -81,17 +80,17 @@ class TestResidualView:
 
     def test_saturation(self):
         g = CapacitatedGraph(2, [(0, 1, 3)])
-        f = FlowAssignment.from_arc_dict(g, {(0, 1): 3})
+        f = from_arc_dict(g, {(0, 1): 3})
         r = ResidualView(g, f)
-        assert r.capacity(0, 1) == 0.0
-        assert r.capacity(1, 0) == 6.0
+        assert r.arc_caps[g.arc_index(0, 1)] == 0.0
+        assert r.arc_caps[g.arc_index(1, 0)] == 6.0
 
     def test_mask_drops_flow_silently(self):
         g = path_2_1()
-        f = FlowAssignment.from_arc_dict(g, {(0, 1): 1.0})
+        f = from_arc_dict(g, {(0, 1): 1.0})
         r = ResidualView(g, f, np.array([False, True]))
-        assert r.capacity(0, 1) == 0.0  # masked edge exposes no capacity
-        assert r.restricted_values[g.arc_index(0, 1)] == 0.0
+        assert r.arc_caps[g.arc_index(0, 1)] == 0.0  # masked edge exposes no capacity
+        assert r.arc_caps[g.arc_index(1, 0)] == 0.0  # and its flow is dropped, not credited back
 
     def test_active_edges_must_be_one_bool_per_edge(self):
         g = path_2_1()
@@ -108,7 +107,7 @@ class TestResidualView:
             (CapacitatedGraph(2, [(0, 1, 2)]), (0, 1), 5.0),
             (CapacitatedGraph(4, [(0, 1, 5), (1, 2, 1), (2, 3, 1), (0, 3, 2**62)]), (1, 2), 1000.0),
         ]:
-            f = FlowAssignment.from_arc_dict(g, {arc: value})
+            f = from_arc_dict(g, {arc: value})
             with pytest.raises(ValueError, match="negative residual"):
                 ResidualView(g, f)
 
@@ -166,13 +165,13 @@ class TestFlows:
     def test_negative_value_judged_on_its_own_arc(self):
         # -1 is far inside 1e-9 * 2**62 but a whole unit arc's capacity.
         g = CapacitatedGraph(3, [(0, 1, 1), (1, 2, 2**62)])
-        assert FlowAssignment.from_arc_dict(g, {(0, 1): -1e-10}).flow(0, 1) == 0.0
+        assert from_arc_dict(g, {(0, 1): -1e-10}).flow(0, 1) == 0.0
         with pytest.raises(ValueError, match="nonnegative"):
-            FlowAssignment.from_arc_dict(g, {(0, 1): -1.0})
+            from_arc_dict(g, {(0, 1): -1.0})
 
     def test_divergence_single_arc(self):
         g = CapacitatedGraph(2, [(0, 1, 5)])
-        f = FlowAssignment.from_arc_dict(g, {(0, 1): 3})
+        f = from_arc_dict(g, {(0, 1): 3})
         assert np.array_equal(divergence(f), [3.0, -3.0])
 
     def test_divergence_zero_flow(self):
@@ -181,7 +180,7 @@ class TestFlows:
 
     def test_divergence_circulation(self):
         g = CapacitatedGraph(3, [(0, 1, 2), (1, 2, 2), (0, 2, 2)])
-        f = FlowAssignment.from_arc_dict(g, {(0, 1): 1, (1, 2): 1, (2, 0): 1})
+        f = from_arc_dict(g, {(0, 1): 1, (1, 2): 1, (2, 0): 1})
         assert np.allclose(divergence(f), 0.0)
 
     def test_net_flow_equals_value_for_st_flow(self, rng):
@@ -201,38 +200,38 @@ class TestFlows:
 
     def test_net_flow_circulation_is_zero(self):
         g = CapacitatedGraph(3, [(0, 1, 2), (1, 2, 2), (0, 2, 2)])
-        f = FlowAssignment.from_arc_dict(g, {(0, 1): 1, (1, 2): 1, (2, 0): 1})
+        f = from_arc_dict(g, {(0, 1): 1, (1, 2): 1, (2, 0): 1})
         assert net_flow_across(f, VertexCut(frozenset({0}))) == pytest.approx(0.0)
 
     def test_net_flow_direct_sum(self):
         g = CapacitatedGraph(2, [(0, 1, 5)])
-        f = FlowAssignment.from_arc_dict(g, {(0, 1): 2, (1, 0): 0.5})
+        f = from_arc_dict(g, {(0, 1): 2, (1, 0): 0.5})
         assert net_flow_across(f, VertexCut(frozenset({0}))) == pytest.approx(1.5)
 
     def test_add_identity(self):
         g = path_2_1()
-        f = FlowAssignment.from_arc_dict(g, {(0, 1): 1})
+        f = from_arc_dict(g, {(0, 1): 1})
         out = add_flows(f, FlowAssignment(g))
         assert np.array_equal(out.values, f.values)
 
     def test_add_never_cancels(self):
         g = CapacitatedGraph(2, [(0, 1, 5)])
-        f = FlowAssignment.from_arc_dict(g, {(0, 1): 1})
-        h = FlowAssignment.from_arc_dict(g, {(1, 0): 1})
+        f = from_arc_dict(g, {(0, 1): 1})
+        h = from_arc_dict(g, {(1, 0): 1})
         out = add_flows(f, h)
         assert out.flow(0, 1) == 1.0 and out.flow(1, 0) == 1.0
 
     def test_add_divergence_linear(self, rng):
         for _ in range(10):
             g = small_graph(rng)
-            f = random_feasible_flow(g, rng).scaled(0.5)
-            h = random_feasible_flow(g, rng).scaled(0.5)
+            f = FlowAssignment(g, random_feasible_flow(g, rng).values * 0.5)
+            h = FlowAssignment(g, random_feasible_flow(g, rng).values * 0.5)
             lhs = divergence(add_flows(f, h))
             assert np.allclose(lhs, divergence(f) + divergence(h), atol=1e-9)
 
     def test_congestion_and_feasibility(self):
         g = CapacitatedGraph(2, [(0, 1, 4)])
-        f = FlowAssignment.from_arc_dict(g, {(0, 1): 3})
+        f = from_arc_dict(g, {(0, 1): 3})
         assert f.congestion() == pytest.approx(0.75)
 
 

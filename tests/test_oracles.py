@@ -10,7 +10,6 @@ from faircut.graph import (
     ResidualView,
     VertexCut,
     divergence,
-    net_flow_across,
     st_demand,
     undirected_cut_value,
 )
@@ -26,7 +25,7 @@ from faircut.oracles import (
     verify_fairness,
 )
 
-from conftest import brute_min_cut_value, brute_opt_congestion, reference_routing, small_graph
+from conftest import brute_min_cut_value, brute_opt_congestion, net_flow_across, reference_routing, small_graph
 
 
 def path_2_1():
@@ -329,6 +328,10 @@ class TestVerifyFairness:
     def test_alpha_below_one_rejected(self):
         with pytest.raises(ValueError):
             verify_fairness(path_2_1(), VertexCut(frozenset({0}), 0, 2), 0.5)
+
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(ValueError, match="at least 1, got nan"):
+            verify_fairness(path_2_1(), VertexCut(frozenset({0, 1}), 0, 2), float("nan"))
 
     def test_certificate_invariants(self, rng):
         for _ in range(15):
