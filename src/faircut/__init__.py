@@ -23,13 +23,8 @@ from .driver import (
 )
 from .flowcut import (
     CutResult,
-    DualWitness,
     FlowResult,
-    PrimalCertificate,
-    ReducedProblem,
-    ThresholdCutError,
     flow_or_cut,
-    reduce_problem,
     saddle_solve,
     threshold_cut,
 )

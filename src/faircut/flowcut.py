@@ -14,7 +14,9 @@ give one signed weight per row, and the pullback of that signed vector is
 a vertex potential.  Every round sweeps that potential with
 :func:`threshold_cut`, in O(m + n log n): a decreasing-potential prefix
 whose demand beats its residual boundary is itself the certificate, and
-the loop's only dual exit.
+the loop's only dual exit.  The loop reports one :class:`SaddleOutcome`:
+a primal point within the slack, a swept side, or neither when the budget
+runs out.
 
 The solver is warm-started from the exact residual max-flow of
 :func:`faircut.oracles.max_flow_exact`, the package's one max-flow, so the
@@ -49,14 +51,9 @@ from .oracles import max_flow_exact
 
 __all__ = [
     "CutResult",
-    "DualWitness",
-    "ExhaustedOutcome",
     "FlowResult",
-    "PrimalCertificate",
-    "ReducedProblem",
-    "ThresholdCutError",
+    "SaddleOutcome",
     "flow_or_cut",
-    "reduce_problem",
     "saddle_solve",
     "threshold_cut",
 ]
@@ -69,155 +66,78 @@ EPSILON_SHRINK = 4.0
 SADDLE_BUDGET = 400
 
 
-class ThresholdCutError(RuntimeError):
-    """No decreasing-potential prefix has demand above its boundary."""
-
-
 @dataclass
-class ReducedProblem:
-    """Scaled row system for one flow-or-cut decision.
+class SaddleOutcome:
+    """How one saddle loop ended.
 
-    ``demand`` is the target divergence.  ``alpha`` is the factor by which
-    the cut-matrix estimate may undershoot the true optimal congestion.
+    ``x`` is set, with its scaled-row violation ``gap``, when a primal
+    point met the slack.  ``side`` is set when a sweep of the pullback
+    certified a prefix whose demand exceeds its residual boundary, so no
+    ``x`` in [0,1]^arcs meets the demand.  Neither is set when the budget
+    ran out.
     """
 
-    residual: ResidualView
-    demand: np.ndarray
-    cuts: CutMatrix
-    alpha: float
-
-    def operator(self, x: np.ndarray) -> np.ndarray:
-        """Divergence of the absolute flow ``residual_caps * x``."""
-        res = self.residual
-        vals = res.arc_caps * x
-        out = np.bincount(res.tails, weights=vals, minlength=res.n)
-        inc = np.bincount(res.heads, weights=vals, minlength=res.n)
-        return out - inc
-
-    def adjoint(self, phi: np.ndarray) -> np.ndarray:
-        """Per arc: ``c'_a * (phi[tail] - phi[head])``."""
-        return self.residual.arc_caps * (phi[self.residual.tails] - phi[self.residual.heads])
-
-    def scaled_rows(self, vertex_vec: np.ndarray) -> np.ndarray:
-        """Quarter-scaled cut-matrix action (rows have l1 norm <= 1)."""
-        return 0.25 * self.cuts.apply(vertex_vec)
-
-    def scaled_pullback(self, y: np.ndarray) -> np.ndarray:
-        return 0.25 * self.cuts.pullback(y)
-
-    def primal_gap(self, x: np.ndarray) -> float:
-        """Max scaled-row violation of the demand constraint at ``x``."""
-        rows = self.scaled_rows(self.operator(x) - self.demand)
-        return float(np.max(np.abs(rows))) if rows.size else 0.0
-
-
-def reduce_problem(residual: ResidualView, demand: np.ndarray, cuts: CutMatrix) -> ReducedProblem:
-    """Assemble the scaled row system for a residual view and a demand.
-
-    Raises:
-        ValueError: for a mismatched demand length or vertex count, or a
-            matrix that carries no certified ``alpha_bound``.
-    """
-    n = residual.n
-    demand = np.asarray(demand, dtype=np.float64)
-    if demand.shape != (n,):
-        raise ValueError(f"demand must have {n} entries")
-    if cuts.n != n:
-        raise ValueError("cut matrix was built for a different vertex count")
-    alpha = cuts.alpha_bound
-    if not (math.isfinite(alpha) and alpha >= 1):
-        raise ValueError("no usable congestion factor: the cut matrix carries no certified bound")
-    return ReducedProblem(residual=residual, demand=demand, cuts=cuts, alpha=float(alpha))
-
-
-@dataclass
-class PrimalCertificate:
-    """Near-feasible congestion vector: every scaled row within the slack."""
-
-    x: np.ndarray
-    gap: float
+    x: Optional[np.ndarray]
+    gap: Optional[float]
+    side: Optional[frozenset[int]]
     iterations: int
-
-
-@dataclass
-class DualWitness:
-    """Signed row weights whose pullback sweeps to a violating prefix.
-
-    ``y`` holds one weight per cut-matrix row: positive where the demand
-    inside the row outruns the residual capacity leaving it, negative where
-    the demand outside outruns the capacity entering it.  ``potential`` is
-    ``scaled_pullback(y)``, and ``side`` is the prefix that
-    :func:`threshold_cut` returned for it: its demand exceeds its residual
-    boundary, so no ``x`` in [0,1]^arcs meets the demand.
-    """
-
-    y: np.ndarray
-    potential: np.ndarray
-    side: frozenset[int]
-    iterations: int
-
-
-@dataclass
-class ExhaustedOutcome:
-    """Budget ran out: ``best_x`` is the best primal point seen, with gap ``best_gap``."""
-
-    best_x: np.ndarray
-    best_gap: float
-    iterations: int
-
-
-SaddleOutcome = Union[PrimalCertificate, DualWitness, ExhaustedOutcome]
 
 
 def saddle_solve(
-    problem: ReducedProblem,
-    eps_over_alpha: float,
+    residual: ResidualView,
+    demand: np.ndarray,
+    cuts: CutMatrix,
+    slack: float,
     budget: int,
-    x0: Optional[np.ndarray] = None,
+    x0: np.ndarray,
 ) -> SaddleOutcome:
-    """Multiplicative-weights search for a primal point or a dual witness.
+    """Multiplicative-weights search for a primal point or a violating side.
 
-    The experts are the scaled rows and their negations; at congestion
-    vector ``x`` row ``i`` loses ``u_i`` and its negation ``-u_i``, where
-    ``u = scaled_rows(operator(x) - demand)``.  Each round checks the
-    running primal average (and the warm start) against the slack, updates
-    the weights, sweeps the pullback of the averaged signed weights
+    The constraint rows are the cut-matrix rows scaled by 1/4, applied to
+    ``divergence(arc_caps * x) - demand``.  The experts are those rows and
+    their negations; at congestion vector ``x`` row ``i`` loses ``u_i`` and
+    its negation ``-u_i``.  Each round checks the best primal point so far
+    (at first the warm start ``x0``) against ``slack``, updates the weights,
+    sweeps the pullback of the averaged signed weights
     ``y = avg_minus - avg_plus`` with :func:`threshold_cut`, and then plays
     the best-response congestion vector.  A violating sweep prefix ends the
-    loop as a DualWitness.
-
-    Returns:
-        PrimalCertificate, DualWitness, or ExhaustedOutcome when the budget
-        expires with neither.  The best primal point is checked once more
-        after the last round, so an average that meets the slack there is a
-        PrimalCertificate with ``iterations == budget``.
+    loop.  The best primal point is checked once more after the last round,
+    so an average that meets the slack there is returned with
+    ``iterations == budget``.  At budget 0 nothing is checked.
     """
-    if not (0.0 < eps_over_alpha < 1.0):
-        raise ValueError(f"slack must lie in (0, 1), got {eps_over_alpha}")
+    if not (0.0 < slack < 1.0):
+        raise ValueError(f"slack must lie in (0, 1), got {slack}")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-
-    r = problem.cuts.row_count
-    num_arcs = problem.residual.graph.num_arcs
-    if x0 is None:
-        x0 = np.zeros(num_arcs, dtype=np.float64)
-    best_x = x0
-    best_gap = problem.primal_gap(x0)
     if budget == 0:
-        return ExhaustedOutcome(best_x, best_gap, 0)
+        return SaddleOutcome(None, None, None, 0)
 
+    n, tails, heads, caps = residual.n, residual.tails, residual.heads, residual.arc_caps
+
+    def rows_at(x: np.ndarray) -> np.ndarray:
+        """Scaled rows of the unmet demand ``divergence(caps * x) - demand``."""
+        vals = caps * x
+        div = np.bincount(tails, weights=vals, minlength=n) - np.bincount(heads, weights=vals, minlength=n)
+        return 0.25 * cuts.apply(div - demand)
+
+    def largest(u: np.ndarray) -> float:
+        return float(np.max(np.abs(u))) if u.size else 0.0
+
+    r = cuts.row_count
+    best_x = x0
+    best_gap = largest(rows_at(x0))
     loss_sum = np.zeros((2, r), dtype=np.float64)  # row order: plus, minus
     weight_sum = np.zeros((2, r), dtype=np.float64)
-    xbar = np.zeros(num_arcs, dtype=np.float64)
+    xbar = np.zeros(len(caps), dtype=np.float64)
     x_play = x0
     width = 1e-12
 
     for t in range(1, budget + 1):
-        if best_gap <= eps_over_alpha:
-            return PrimalCertificate(best_x, best_gap, t - 1)
+        if best_gap <= slack:
+            return SaddleOutcome(best_x, best_gap, None, t - 1)
 
-        u = problem.scaled_rows(problem.operator(x_play) - problem.demand)
-        width = max(width, float(np.max(np.abs(u))) if u.size else 0.0)
+        u = rows_at(x_play)
+        width = max(width, largest(u))
         loss_sum[0] += u
         loss_sum[1] -= u
         eta = math.sqrt(8.0 * math.log(max(4 * r, 2)) / t) / width
@@ -228,44 +148,39 @@ def saddle_solve(
         weight_sum += p
 
         avg = weight_sum / t
-        y = avg[1] - avg[0]
-        phi = problem.scaled_pullback(y)
-        try:
-            return DualWitness(y, phi, threshold_cut(problem.residual, phi, problem.demand).side, t)
-        except ThresholdCutError:
-            pass
+        cut = threshold_cut(residual, 0.25 * cuts.pullback(avg[1] - avg[0]), demand)
+        if cut is not None:
+            return SaddleOutcome(None, None, cut.side, t)
 
-        x_t = (problem.adjoint(problem.scaled_pullback(p[0] - p[1])) < 0).astype(np.float64)
+        phi = 0.25 * cuts.pullback(p[0] - p[1])
+        x_t = (caps * (phi[tails] - phi[heads]) < 0).astype(np.float64)
         xbar += (x_t - xbar) / t
-        gap = problem.primal_gap(xbar)
+        gap = largest(rows_at(xbar))
         if gap < best_gap:
             best_gap, best_x = gap, xbar.copy()
         x_play = x_t
 
-    if best_gap <= eps_over_alpha:
-        return PrimalCertificate(best_x, best_gap, budget)
-    return ExhaustedOutcome(best_x, best_gap, budget)
+    if best_gap <= slack:
+        return SaddleOutcome(best_x, best_gap, None, budget)
+    return SaddleOutcome(None, None, None, budget)
 
 
-def threshold_cut(view, phi: np.ndarray, d: np.ndarray) -> VertexCut:
+def threshold_cut(view, phi: np.ndarray, d: np.ndarray) -> Optional[VertexCut]:
     """First decreasing-potential prefix whose demand beats its boundary.
 
     Vertices are sorted by decreasing ``phi`` with ties broken by vertex id.
     Arc ``a`` leaves prefix ``k`` (the first ``k + 1`` vertices) exactly when
     ``rank[tail] <= k < rank[head]``, so every prefix boundary is one
     cumulative sum over arc-endpoint ranks.  Returns the first proper
-    prefix ``S`` with ``sum(d[S]) > boundary(S)``.  Such a prefix is a
-    certificate on its own: no ``x`` in [0,1]^arcs routes ``d``.  When ``d``
-    routes ``tau`` units from a source to a sink, it is an (s,t)-cut of
-    value below ``tau``.  A boundary is never negative, so the running sum
-    is clipped at zero: float cancellation in it cannot make a prefix of
-    zero demand violate.
+    prefix ``S`` with ``sum(d[S]) > boundary(S)``, or None when no proper
+    prefix has one.  Such a prefix is a certificate on its own: no ``x`` in
+    [0,1]^arcs routes ``d``.  When ``d`` routes ``tau`` units from a source
+    to a sink, it is an (s,t)-cut of value below ``tau``.  A boundary is
+    never negative, so the running sum is clipped at zero: float
+    cancellation in it cannot make a prefix of zero demand violate.
 
     ``view`` is a ResidualView or a CapacitatedGraph; only its ``n``,
     ``tails``, ``heads`` and ``arc_caps`` are read.
-
-    Raises:
-        ThresholdCutError: when no proper prefix violates.
     """
     n = view.n
     phi = np.asarray(phi, dtype=np.float64)
@@ -281,7 +196,7 @@ def threshold_cut(view, phi: np.ndarray, d: np.ndarray) -> VertexCut:
     boundary = np.maximum(np.cumsum(step[: n - 1]), 0.0)
     hits = np.flatnonzero(np.cumsum(d[order[: n - 1]]) > boundary)
     if not hits.size:
-        raise ThresholdCutError("no decreasing-potential prefix has demand above its boundary")
+        return None
     return VertexCut(frozenset(order[: hits[0] + 1].tolist()))
 
 
@@ -335,7 +250,8 @@ def flow_or_cut(
 
     Raises:
         ValueError: ``tau <= 0``, ``eps`` outside ``(0, 1/2)``, a negative
-            ``budget``, or s == t.
+            ``budget``, or s == t; on the saddle path, a cut matrix built
+            for another vertex count or without a finite ``alpha_bound``.
         RuntimeError: the max-flow's min cut is not below ``tau``; an
             invariant check, since its value is the max-flow.
     """
@@ -361,15 +277,19 @@ def flow_or_cut(
         flow = FlowAssignment(graph, np.clip(base_x * (tau / maxflow), 0.0, 1.0) * caps)
         return FlowResult(flow=flow, primal_gap=0.0, iterations=0)
 
-    problem = reduce_problem(residual, st_demand(graph.n, s, t, tau), cuts())
-    slack = (eps / EPSILON_SHRINK) / problem.alpha
-    outcome = saddle_solve(problem, slack, budget, x0=np.clip(base_x, 0.0, 1.0))
+    matrix = cuts()
+    if matrix.n != graph.n:
+        raise ValueError("cut matrix was built for a different vertex count")
+    # An infinite or NaN alpha_bound makes the slack 0 or NaN, which saddle_solve refuses.
+    slack = (eps / EPSILON_SHRINK) / matrix.alpha_bound
+    demand = st_demand(graph.n, s, t, tau)
+    outcome = saddle_solve(residual, demand, matrix, slack, budget, np.clip(base_x, 0.0, 1.0))
 
-    if isinstance(outcome, PrimalCertificate):
+    if outcome.x is not None:
         flow = FlowAssignment(graph, outcome.x * caps)
         return FlowResult(flow=flow, primal_gap=outcome.gap, iterations=outcome.iterations)
 
-    if isinstance(outcome, DualWitness):
+    if outcome.side is not None:
         cut = VertexCut(outcome.side, source=s, sink=t)
         value = directed_cut_value(residual, cut)
         if value < tau:

@@ -348,8 +348,9 @@ class _FairnessNetwork:
             np.concatenate([self.caps - lower, np.abs(excess[ends])]),
         )
         value = solver.solve(aux_src, aux_snk)
-        feas_tol = 1e-11 * max(1.0, need)
-        if value < need - feas_tol:
+        # Relative only: once alpha exceeds the cut's capacity, need < 1 and
+        # an absolute floor would swallow the whole deficit.
+        if value < need - 1e-11 * need:
             reach = solver.reachable(aux_src, zero=1e-12 * max(1.0, self.total_cap))
             blocking = frozenset(v for v in reach if v < g.n)
             return FairnessRefusal(alpha=alpha, blocking_set=blocking, deficit=need - value)
@@ -383,9 +384,15 @@ def min_fair_alpha(g: CapacitatedGraph, cut: VertexCut) -> float:
     """Smallest alpha for which ``verify_fairness`` accepts, to 1e-6 relative.
 
     Feasibility is monotone in alpha, so binary search over
-    ``[1, c(dS) * |dS|]`` is exact up to the interval width; the bracket is
-    widened defensively if its upper end somehow refuses.  Every step checks
-    the same network (:class:`_FairnessNetwork`), laid out once.
+    ``[1, c(dS) * |dS|]`` is exact up to the interval width.  The upper end
+    suffices for integer capacities: routing ``1/|dS|`` along one path per
+    cut arc meets every lower bound.  Every step checks the same network
+    (:class:`_FairnessNetwork`), laid out once.
+
+    Raises:
+        RuntimeError: the upper end is refused, so no finite alpha is fair:
+            some cut arc has no s-path inside the cut side or no t-path
+            outside it.
     """
     network = _FairnessNetwork(g, cut)
 
@@ -398,10 +405,8 @@ def min_fair_alpha(g: CapacitatedGraph, cut: VertexCut) -> float:
     mask = cut.member_mask(g.n)
     arcs = int(np.count_nonzero(mask[g.us] != mask[g.vs]))
     hi = max(2.0, boundary * max(arcs, 1))
-    while not accepts(hi):
-        hi *= 4.0
-        if hi > 1e15:
-            raise RuntimeError("no finite fairness factor found; cut appears unreachable")
+    if not accepts(hi):
+        raise RuntimeError("no finite fairness factor found; cut appears unreachable")
     lo = 1.0
     while hi - lo > ALPHA_INTERVAL_REL * lo:
         mid = 0.5 * (lo + hi)

@@ -84,6 +84,20 @@ def operator_row_norms(cuts, view) -> np.ndarray:
     return cuts.weights * ((M[:, view.tails] != M[:, view.heads]) @ caps)
 
 
+def dense_row_violation(view, demand, cuts, x) -> float:
+    """Largest scaled row of the unmet demand at congestion ``x``, densely.
+
+    Row r reads ``0.25 * w_r * sum over v in S_r of (B @ x - demand)[v]``,
+    where column a of B holds ``+cap_a`` at its tail and ``-cap_a`` at its head.
+    """
+    arcs = np.arange(len(x))
+    B = np.zeros((len(demand), len(x)))
+    B[view.tails, arcs] = view.arc_caps
+    B[view.heads, arcs] = -np.asarray(view.arc_caps, dtype=np.float64)
+    rows = 0.25 * cuts.weights * (cuts.indicator.toarray() @ (B @ x - demand))
+    return float(np.abs(rows).max()) if rows.size else 0.0
+
+
 def assert_same_matrix(a, b) -> None:
     """Equal CSR indicator arrays, row weights and ``alpha_bound``."""
     for name in ("indptr", "indices", "data"):

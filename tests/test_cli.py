@@ -49,7 +49,7 @@ class TestSolve:
         path = instance_file(SINGLE_EDGE)
         code, _, err = run(capsys, ["solve", "--input", path, "--epsilon", "0"])
         assert code == 1
-        assert "epsilon" in err
+        assert err.startswith("error: eps must lie in (0, 1/8)")
 
     def test_zero_member_multitree_exits_one(self, instance_file, capsys):
         path = instance_file(SINGLE_EDGE)
@@ -127,6 +127,16 @@ class TestVerify:
         assert code == 3
         assert "not fair" in err
 
+    def test_cut_unfair_at_any_alpha_exits_three(self, instance_file, tmp_path, capsys):
+        # Vertex id 1 is on the cut side with no path from s there; at alpha
+        # 1e13 the whole deficit is below 1e-11.
+        path = instance_file("p max 3 2\nn 1 s\nn 3 t\na 1 3 57\na 2 3 34\n")
+        cut = tmp_path / "cut.json"
+        cut.write_text("[0, 1]")
+        code, out, err = run(capsys, ["verify", "--input", path, "--cut", str(cut), "--alpha", "1e13"])
+        assert code == 3 and out == ""
+        assert "not fair" in err
+
     def test_cut_containing_sink_exits_one(self, instance_file, tmp_path, capsys):
         path = instance_file(PATH_INSTANCE)
         cut = tmp_path / "cut.json"
@@ -177,8 +187,8 @@ class TestBench:
         [(["--n", "1"], "source and sink must differ"), (["--n", "8", "--epsilon", "0.2"], "eps must lie in")],
     )
     def test_bad_arguments_exit_one(self, capsys, args, message):
-        code, _, err = run(capsys, ["bench", "--family", "path", *args])
-        assert code == 1
+        code, out, err = run(capsys, ["bench", "--family", "path", *args])
+        assert code == 1 and out == ""
         assert err.startswith("error: ") and message in err
 
     def test_random_family_rows_valid(self, capsys):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import math
 import pathlib
 import pkgutil
 
@@ -35,6 +36,25 @@ def test_traced_boundaries_resolve(monkeypatch):
     tracer = importlib.import_module("tracer")
     missing = [(owner.__name__, attr) for owner, attr, _, _ in tracer.BOUNDARIES if not hasattr(owner, attr)]
     assert not missing, f"traced boundaries missing: {missing}"
+
+
+def test_traced_annotations_read_results(monkeypatch):
+    # The span annotations read result fields (``.iterations``, ``.via``,
+    # ``.rows``); a renamed one would only fail in a traced benchmark run.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    g = CapacitatedGraph(3, [(0, 1, 4), (1, 2, 1)])
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        recorder.run_item(0, lambda: fair_cut(g, 0, 2, eps=0.05, approximator="multitree:2", certify=True))
+    finally:
+        recorder.uninstall()
+    metrics = tracer.layer_metrics(recorder, 1)
+    assert all(math.isfinite(value) for value, _ in metrics.values()), metrics
+    saddle = [span for span in recorder.spans if span.name == "flowcut.saddle"]
+    assert saddle and all("iterations" in span.attrs for span in saddle)
+    assert metrics["flowcut.saddle_iters"][0] >= 1
 
 
 def test_workload_calls_resolve(monkeypatch):

@@ -8,13 +8,8 @@ from faircut.approximator import CutMatrix, build_exhaustive, build_multi_tree, 
 from faircut.driver import _make_state, iterate_once
 from faircut.flowcut import (
     CutResult,
-    DualWitness,
-    ExhaustedOutcome,
     FlowResult,
-    PrimalCertificate,
-    ThresholdCutError,
     flow_or_cut,
-    reduce_problem,
     saddle_solve,
     threshold_cut,
 )
@@ -30,7 +25,14 @@ from faircut.graph import (
 from faircut.generators import random_connected_graph, random_feasible_flow
 from faircut.oracles import max_flow_exact, min_congestion_routing
 
-from conftest import brute_directed_cut, from_arc_dict, operator_row_norms, reference_sweep, small_graph
+from conftest import (
+    brute_directed_cut,
+    dense_row_violation,
+    from_arc_dict,
+    operator_row_norms,
+    reference_sweep,
+    small_graph,
+)
 
 
 def single_edge(cap=1):
@@ -41,14 +43,26 @@ def empty_residual(g):
     return ResidualView(g, FlowAssignment(g))
 
 
+def cold(g):
+    """The all-zero congestion vector, a cold start."""
+    return np.zeros(g.num_arcs)
+
+
 class TestReduce:
+    """The scaled row system that ``saddle_solve`` builds from its arguments."""
+
     def test_single_edge_operator_column(self):
+        # Full congestion on arc 0->1 routes [1, -1] exactly, so that start is
+        # returned before any round with gap 0; on the reverse arc it is not.
         g = single_edge(1)
         res = empty_residual(g)
-        problem = reduce_problem(res, st_demand(2, 0, 1, 1.0), build_exhaustive(g))
-        x = np.zeros(g.num_arcs)
-        x[g.arc_index(0, 1)] = 1.0
-        assert np.allclose(problem.operator(x), [1.0, -1.0])
+        d, cuts = st_demand(2, 0, 1, 1.0), build_exhaustive(g)
+        forward, backward = cold(g), cold(g)
+        forward[g.arc_index(0, 1)] = backward[g.arc_index(1, 0)] = 1.0
+        out = saddle_solve(res, d, cuts, 0.05, 1, forward)
+        assert out.x is forward and (out.gap, out.iterations) == (0.0, 0)
+        assert dense_row_violation(res, d, cuts, backward) == 0.5
+        assert saddle_solve(res, d, cuts, 0.05, 1, backward).x is not backward
 
     def test_scaled_row_norms_at_most_one(self, rng):
         for _ in range(8):
@@ -58,19 +72,23 @@ class TestReduce:
             assert np.all(0.25 * operator_row_norms(cuts, res) <= 1.0 + 1e-9)
 
     def test_zero_capacity_row_rejected(self):
-        g = single_edge(2)
-        res = empty_residual(g)
-        with pytest.raises(ValueError):
-            bad = CutMatrix(n=2, rows=[np.array([0])], weights=np.array([np.inf]))
-            reduce_problem(res, np.zeros(2), bad)
+        with pytest.raises(ValueError, match="finite positive"):
+            CutMatrix(n=2, rows=[np.array([0])], weights=np.array([np.inf]))
 
     def test_matrix_without_bound_rejected(self):
-        # A custom builder may leave alpha_bound at its default, inf.
+        # A custom builder may leave alpha_bound at its default, inf; the
+        # slack eps / 4 / inf is then 0, outside (0, 1).
         g = single_edge(2)
         unbounded = CutMatrix(n=2, rows=[np.array([0])], weights=np.array([0.5]))
         assert unbounded.alpha_bound == float("inf")
-        with pytest.raises(ValueError, match="certified bound"):
-            reduce_problem(empty_residual(g), np.zeros(2), unbounded)
+        with pytest.raises(ValueError, match="slack must lie in"):
+            flow_or_cut(empty_residual(g), 0, 1, 3.0, 0.1, lambda: unbounded)
+
+    def test_matrix_for_another_vertex_count_rejected(self):
+        g = single_edge(2)
+        other = build_exhaustive(CapacitatedGraph(3, [(0, 1, 1), (1, 2, 1)]))
+        with pytest.raises(ValueError, match="different vertex count"):
+            flow_or_cut(empty_residual(g), 0, 1, 3.0, 0.1, lambda: other)
 
 
 class TestSaddleSolve:
@@ -79,27 +97,29 @@ class TestSaddleSolve:
         res = empty_residual(g)
         value, _, _ = max_flow_exact(g, 0, 1)
         d = st_demand(2, 0, 1, value / 2.0)
-        problem = reduce_problem(res, d, build_exhaustive(g))
-        out = saddle_solve(problem, 0.05, budget=50)
-        assert isinstance(out, PrimalCertificate)
+        cuts = build_exhaustive(g)
+        out = saddle_solve(res, d, cuts, 0.05, 50, cold(g))
+        assert out.x is not None and out.side is None
         assert out.gap <= 0.05
+        assert out.gap == pytest.approx(dense_row_violation(res, d, cuts, out.x), rel=1e-12, abs=1e-15)
 
     def test_infeasible_instance_returns_dual(self):
         g = single_edge(1)
         res = empty_residual(g)
-        problem = reduce_problem(res, st_demand(2, 0, 1, 2.0), build_exhaustive(g))
-        out = saddle_solve(problem, 0.05, budget=200)
-        assert isinstance(out, DualWitness)
+        d = st_demand(2, 0, 1, 2.0)
+        out = saddle_solve(res, d, build_exhaustive(g), 0.05, 200, cold(g))
+        assert out.side is not None and out.x is None and out.gap is None
         side = set(out.side)
         boundary = brute_directed_cut(g.tails, g.heads, res.arc_caps, side, g.n)
-        assert float(problem.demand[sorted(side)].sum()) > boundary
+        assert float(d[sorted(side)].sum()) > boundary
 
     def test_budget_zero_is_exhausted(self):
+        # At budget 0 not even the start is checked, although it routes the demand.
         g = single_edge(1)
-        res = empty_residual(g)
-        problem = reduce_problem(res, st_demand(2, 0, 1, 2.0), build_exhaustive(g))
-        out = saddle_solve(problem, 0.05, budget=0)
-        assert isinstance(out, ExhaustedOutcome)
+        x0 = np.ones(g.num_arcs)
+        x0[g.arc_index(1, 0)] = 0.0
+        out = saddle_solve(empty_residual(g), st_demand(2, 0, 1, 1.0), build_exhaustive(g), 0.05, 0, x0)
+        assert (out.x, out.gap, out.side, out.iterations) == (None, None, None, 0)
 
     def test_gap_met_in_the_last_round_is_primal(self):
         # Cold start on routable demands (tau <= max-flow): an average that
@@ -116,14 +136,13 @@ class TestSaddleSolve:
                 continue
             tau = float(mf) * float(rng.uniform(0.3, 1.0))
             cuts = build_exhaustive(g) if n <= 10 else build_multi_tree(g, 4, seed=i)
-            problem = reduce_problem(res, st_demand(n, 0, n - 1, tau), cuts)
-            slack = (0.1 / 4.0) / problem.alpha
+            d = st_demand(n, 0, n - 1, tau)
+            slack = (0.1 / 4.0) / cuts.alpha_bound
             for budget in (1, 3, 30):
-                out = saddle_solve(problem, slack, budget)
-                if isinstance(out, ExhaustedOutcome):
-                    assert out.best_gap > slack, (i, budget)
-                if isinstance(out, PrimalCertificate):
-                    assert out.gap <= slack and out.gap == problem.primal_gap(out.x)
+                out = saddle_solve(res, d, cuts, slack, budget, cold(g))
+                if out.x is not None:
+                    assert out.gap <= slack
+                    assert out.gap == pytest.approx(dense_row_violation(res, d, cuts, out.x), rel=1e-9, abs=1e-15)
                     at_budget += out.iterations == budget
         assert at_budget >= 3
 
@@ -139,13 +158,11 @@ class TestSaddleSolve:
             tau = max(float(mf) * float(rng.uniform(0.5, 1.5)), 0.05)
             cuts = build_exhaustive(g) if n <= 10 and i % 2 == 0 else build_multi_tree(g, 4, seed=i)
             d = st_demand(n, s, t, tau)
-            problem = reduce_problem(res, d, cuts)
             eps = (0.2, 0.1, 0.05)[i % 3]
-            out = saddle_solve(problem, (eps / 4.0) / problem.alpha, budget=(1, 3, 30, 400)[i % 4])
-            if not isinstance(out, DualWitness):
+            out = saddle_solve(res, d, cuts, (eps / 4.0) / cuts.alpha_bound, (1, 3, 30, 400)[i % 4], cold(g))
+            if out.side is None:
                 continue
             duals += 1
-            assert np.array_equal(out.potential, problem.scaled_pullback(out.y))
             assert out.iterations >= 1
             assert s in out.side and t not in out.side
             assert brute_directed_cut(g.tails, g.heads, res.arc_caps, set(out.side), n) < tau
@@ -153,31 +170,24 @@ class TestSaddleSolve:
 
     def test_bad_slack_rejected(self):
         g = single_edge(1)
-        problem = reduce_problem(empty_residual(g), np.zeros(2), build_exhaustive(g))
         with pytest.raises(ValueError):
-            saddle_solve(problem, 1.5, budget=10)
+            saddle_solve(empty_residual(g), np.zeros(2), build_exhaustive(g), 1.5, 10, cold(g))
 
 
 class TestWitnessPotential:
-    """A witness's potential is ``scaled_pullback(y)``, and its sweep gives the witness side."""
-
-    def _problem(self):
-        g = single_edge(1)
-        res = empty_residual(g)
-        return reduce_problem(res, st_demand(2, 0, 1, 2.0), build_exhaustive(g))
+    """The swept potential is the quarter-scaled pullback of the averaged signed row weights."""
 
     def test_hand_instance(self):
-        problem = self._problem()
-        out = saddle_solve(problem, 0.05, budget=10)
-        assert isinstance(out, DualWitness)
+        g = single_edge(1)
+        out = saddle_solve(empty_residual(g), st_demand(2, 0, 1, 2.0), build_exhaustive(g), 0.05, 10, cold(g))
         assert out.side == frozenset({0})
-        assert np.array_equal(out.potential, problem.scaled_pullback(out.y))
 
     def test_positive_scaling_invariance(self):
-        problem = self._problem()
+        g = single_edge(1)
+        cuts = build_exhaustive(g)
         for scale in (0.25, 1.0, 17.0):
-            phi = problem.scaled_pullback(np.array([scale]))
-            cut = threshold_cut(problem.residual, phi, problem.demand)
+            phi = 0.25 * cuts.pullback(np.array([scale]))
+            cut = threshold_cut(empty_residual(g), phi, st_demand(2, 0, 1, 2.0))
             assert cut.side == frozenset({0})
 
 
@@ -194,8 +204,7 @@ class TestThresholdCut:
     def test_constant_potential_fails_precondition(self):
         g = single_edge(1)
         res = empty_residual(g)
-        with pytest.raises(ThresholdCutError):
-            threshold_cut(res, np.zeros(2), st_demand(2, 0, 1, 1.0))
+        assert threshold_cut(res, np.zeros(2), st_demand(2, 0, 1, 1.0)) is None
 
     def test_cancelled_boundary_never_lets_zero_demand_violate(self):
         # Prefix {0, 1, 2} holds s and t, and nothing leaves it, but its
@@ -203,8 +212,7 @@ class TestThresholdCut:
         g = CapacitatedGraph(4, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 1)])
         flow = from_arc_dict(g, {(0, 1): 0.2, (0, 2): 0.4, (1, 2): 0.4})
         res = ResidualView(g, flow, active_edges=np.array([True, True, True, False]))
-        with pytest.raises(ThresholdCutError):
-            threshold_cut(res, np.array([3.0, 2.0, 1.0, 0.0]), st_demand(4, 0, 2, 0.05))
+        assert threshold_cut(res, np.array([3.0, 2.0, 1.0, 0.0]), st_demand(4, 0, 2, 0.05)) is None
 
     def test_fuzz_violating_prefix(self, rng):
         found = 0
@@ -267,10 +275,8 @@ def test_threshold_cut_matches_reference_sweep(state, integral, st_pair):
     tie = 1e-9 * (float(np.abs(d).sum()) + float(res.arc_caps.sum()))
 
     ref_side, trail = reference_sweep(res, phi, d)
-    try:
-        side = threshold_cut(res, phi, d).side
-    except ThresholdCutError:
-        side = None
+    cut = threshold_cut(res, phi, d)
+    side = None if cut is None else cut.side
     if side != ref_side:
         assert not integral
         k = min(len(x) - 1 if x is not None else g.n - 1 for x in (side, ref_side))
@@ -351,8 +357,7 @@ class TestFlowOrCut:
                 opt, _ = min_congestion_routing(g, st_demand(n, s, t, tau) - divergence(out.flow))
                 assert opt <= 0.1 + 1e-6
                 # the stated primal bound in matrix terms: gap within the slack
-                prob = reduce_problem(res, st_demand(n, s, t, tau), cuts)
-                assert out.primal_gap <= (0.1 / 4.0) / prob.alpha + 1e-12
+                assert out.primal_gap <= (0.1 / 4.0) / cuts.alpha_bound + 1e-12
         assert flows > 5 and cutscount > 5
 
     def test_determinism(self, rng):
@@ -477,8 +482,8 @@ class TestFirstRoundSweep:
         g = CapacitatedGraph(3, [(0, 1, 2), (1, 2, 1)])
         res = empty_residual(g)
         cuts = build_exhaustive(g)
-        out = saddle_solve(reduce_problem(res, d, cuts), 0.05, budget=50)
-        assert isinstance(out, DualWitness) and out.iterations == 1
+        out = saddle_solve(res, d, cuts, 0.05, 50, cold(g))
+        assert out.side is not None and out.iterations == 1
         side = set(out.side)
         assert brute_directed_cut(g.tails, g.heads, res.arc_caps, side, g.n) < 5.0
         rows = {frozenset(int(v) for v in r) for r in cuts.rows}

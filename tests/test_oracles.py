@@ -32,6 +32,11 @@ def path_2_1():
     return CapacitatedGraph(3, [(0, 1, 2), (1, 2, 1)])
 
 
+def unfair_at_any_alpha():
+    """With cut side {0, 1}, s=0 and t=2, vertex 1 has no path from s inside the side."""
+    return CapacitatedGraph(3, [(0, 2, 57), (1, 2, 34)])
+
+
 def bisect_every_step(g, cut):
     """min_fair_alpha's bisection with every step decided by verify_fairness."""
     if isinstance(verify_fairness(g, cut, 1.0), FairnessCertificate):
@@ -333,6 +338,15 @@ class TestVerifyFairness:
         with pytest.raises(ValueError, match="at least 1, got nan"):
             verify_fairness(path_2_1(), VertexCut(frozenset({0, 1}), 0, 2), float("nan"))
 
+    @pytest.mark.parametrize("alpha", [2.0, 1e6, 1e13, 1e300])
+    def test_cut_arc_without_source_path_refused_at_any_alpha(self, alpha):
+        # Vertex 1 lies on the cut side but has no path from s there, so no
+        # flow crosses its cut arc.  Above alpha = c(dS) the need drops below
+        # 1, so an absolute tolerance of 1e-11 would swallow the deficit.
+        out = verify_fairness(unfair_at_any_alpha(), VertexCut(frozenset({0, 1}), 0, 2), alpha)
+        assert isinstance(out, FairnessRefusal)
+        assert out.deficit == pytest.approx(34.0 / alpha)
+
     def test_certificate_invariants(self, rng):
         for _ in range(15):
             g = small_graph(rng, n_lo=3, n_hi=8)
@@ -414,6 +428,10 @@ class TestMinFairAlpha:
                     min_fair_alpha(g, cut)
                 continue
             assert min_fair_alpha(g, cut) == expected
+
+    def test_no_finite_alpha_raises(self):
+        with pytest.raises(RuntimeError, match="no finite fairness factor"):
+            min_fair_alpha(unfair_at_any_alpha(), VertexCut(frozenset({0, 1}), 0, 2))
 
     def test_network_is_laid_out_once(self, monkeypatch):
         g = CapacitatedGraph(4, [(0, 1, 2), (1, 2, 1), (1, 3, 1)])
